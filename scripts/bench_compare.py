@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Ingest-throughput regression gate.
+"""Ingest-throughput and query-latency regression gate.
 
 Compares freshly written BENCH_<name>.json reports (the JsonReport format
-of bench/bench_util.h) against the checked-in floors in bench/baselines/
+of bench/bench_util.h) against the checked-in baselines in bench/baselines/
 <name>.json and exits non-zero when a watched throughput metric drops more
-than --tolerance below its baseline (default 20%).
+than --tolerance below its baseline floor, or a watched latency metric
+rises more than --tolerance above its baseline ceiling (default 20%).
 
 Records are matched on their identity keys (series, mode, shards, ...);
 records without a baseline counterpart are noted and never fail the run,
@@ -15,7 +16,8 @@ conservative floors recorded on the 1-core experiment host (see each
 record's "note"), and shared CI runners pass a looser --tolerance. When
 the hot path intentionally changes speed, re-run the benches and refresh
 bench/baselines/ by hand — the floor should trail the typical measurement
-by enough to absorb run-to-run noise on a loaded box.
+(and a latency ceiling sit above it) by enough to absorb run-to-run noise
+on a loaded box.
 """
 
 import argparse
@@ -26,6 +28,8 @@ import sys
 
 # Higher-is-better throughput metrics guarded by the gate.
 WATCHED = ("events_per_s", "batch_speedup")
+# Lower-is-better latency metrics: fail above baseline * (1 + tolerance).
+WATCHED_LOWER = ("query_p50_ms",)
 # Keys that identify a record within a bench report.
 ID_KEYS = ("series", "mode", "shards", "simd", "lambda", "keys", "dim",
            "clients", "workers", "tenants", "trace")
@@ -41,16 +45,18 @@ def fmt_key(key):
 
 def main():
     parser = argparse.ArgumentParser(
-        description="fail when BENCH_*.json throughput regresses vs baselines")
+        description="fail when BENCH_*.json throughput or query latency "
+                    "regresses vs baselines")
     parser.add_argument("current", nargs="*",
                         help="BENCH_*.json files (default: BENCH_*.json in cwd)")
     parser.add_argument("--baseline-dir",
                         default=os.path.join(os.path.dirname(
                             os.path.abspath(__file__)), "..", "bench",
                             "baselines"),
-                        help="directory with checked-in <bench>.json floors")
+                        help="directory with checked-in <bench>.json baselines")
     parser.add_argument("--tolerance", type=float, default=0.20,
-                        help="allowed fractional drop below baseline "
+                        help="allowed fractional drop below a throughput "
+                             "baseline or rise above a latency baseline "
                              "(default 0.20)")
     args = parser.parse_args()
 
@@ -76,15 +82,21 @@ def main():
             brec = base_by_key.get(key)
             if brec is None:
                 continue
-            for metric in WATCHED:
+            for metric in WATCHED + WATCHED_LOWER:
                 if metric not in rec or metric not in brec:
                     continue
-                floor = brec[metric] * (1.0 - args.tolerance)
-                ok = rec[metric] >= floor
+                if metric in WATCHED:
+                    bound_name = "floor"
+                    bound = brec[metric] * (1.0 - args.tolerance)
+                    ok = rec[metric] >= bound
+                else:
+                    bound_name = "ceiling"
+                    bound = brec[metric] * (1.0 + args.tolerance)
+                    ok = rec[metric] <= bound
                 compared += 1
                 print(f"{'ok' if ok else 'REGRESSION':>10}  {cur['bench']}: "
                       f"{fmt_key(key)}  {metric}={rec[metric]:g} "
-                      f"baseline={brec[metric]:g} floor={floor:g}")
+                      f"baseline={brec[metric]:g} {bound_name}={bound:g}")
                 if not ok:
                     regressions.append((cur["bench"], key, metric))
 

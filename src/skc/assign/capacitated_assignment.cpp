@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
+#include <utility>
 
 #include "skc/common/check.h"
-#include "skc/flow/mcmf.h"
 #include "skc/geometry/metric.h"
 
 namespace skc {
@@ -28,47 +29,160 @@ std::vector<std::int64_t> integral_weights(const WeightedPointSet& points) {
   return w;
 }
 
-/// Shared flow construction: source -> point (cap w_p), point -> center
-/// (cap w_p, cost dist^r), center -> sink (cap per `center_cap`).
+/// Exact transportation solver for few sinks: minimizes sum f(q,j) c(q,j)
+/// subject to sum_j f(q,j) = w_q and sum_q f(q,j) <= cap_j.
+///
+/// Successive shortest paths with one source at a time: point p's supply is
+/// routed along shortest paths of the residual graph condensed onto the k
+/// centers.  A residual move j -> j' goes through a point q with f(q,j) > 0
+/// and costs c(q,j') - c(q,j); that key never changes while q holds flow on
+/// j, so one lazy-deletion min-heap per ordered center pair keeps the
+/// cheapest move (entries whose f(q,j) dropped to 0 are popped at the top).
+/// Each path is an O(k^2) Dijkstra over the centers with Johnson potentials,
+/// ending at the nearest center with spare capacity; it carries the
+/// bottleneck of p's remaining supply, that spare capacity and the moved
+/// flows.  Augmenting along shortest paths keeps the residual graph free of
+/// negative cycles, so the final flow is optimal for the given supplies.
+class Transport {
+ public:
+  Transport(const WeightedPointSet& points, const PointSet& centers,
+            const std::vector<std::int64_t>& center_cap, LrOrder r)
+      : k_(static_cast<std::size_t>(centers.size())),
+        cost_(static_cast<std::size_t>(points.size()) * k_),
+        flow_(cost_.size(), 0),
+        spare_(center_cap),
+        potential_(k_, 0.0),
+        moves_(k_ * k_),
+        dist_(k_),
+        prev_center_(k_),
+        prev_point_(k_),
+        settled_(k_) {
+    for (PointIndex q = 0; q < points.size(); ++q) {
+      for (std::size_t j = 0; j < k_; ++j) {
+        cost_[at(q, j)] = dist_pow(points.point(q), centers[static_cast<PointIndex>(j)], r);
+      }
+    }
+  }
+
+  std::vector<std::int64_t> take_flow() && { return std::move(flow_); }
+
+  /// Routes all of p's supply.  Requires total supply <= total capacity.
+  void route(PointIndex p, std::int64_t supply) {
+    while (supply > 0) {
+      shortest_paths(p);
+      // Nearest center with spare capacity, by true path cost.
+      std::size_t end = k_;
+      double best = kInfCost;
+      for (std::size_t j = 0; j < k_; ++j) {
+        if (spare_[j] > 0 && dist_[j] + potential_[j] < best) {
+          best = dist_[j] + potential_[j];
+          end = j;
+        }
+      }
+      SKC_CHECK(end < k_);
+      for (std::size_t j = 0; j < k_; ++j) potential_[j] += dist_[j];
+
+      std::int64_t push = std::min(supply, spare_[end]);
+      std::size_t v = end;
+      for (; prev_center_[v] != k_; v = prev_center_[v]) {
+        push = std::min(push, flow(prev_point_[v], prev_center_[v]));
+      }
+      SKC_CHECK(push > 0);
+      for (v = end; prev_center_[v] != k_; v = prev_center_[v]) {
+        add_flow(prev_point_[v], prev_center_[v], -push);
+        add_flow(prev_point_[v], v, push);
+      }
+      add_flow(p, v, push);
+      spare_[end] -= push;
+      supply -= push;
+    }
+  }
+
+ private:
+  using Move = std::pair<double, PointIndex>;  // (c(q,j') - c(q,j), q)
+
+  std::size_t at(PointIndex q, std::size_t j) const {
+    return static_cast<std::size_t>(q) * k_ + j;
+  }
+  double cost(PointIndex q, std::size_t j) const { return cost_[at(q, j)]; }
+  std::int64_t flow(PointIndex q, std::size_t j) const { return flow_[at(q, j)]; }
+
+  void add_flow(PointIndex q, std::size_t j, std::int64_t delta) {
+    std::int64_t& f = flow_[at(q, j)];
+    const bool was_empty = f == 0;
+    f += delta;
+    if (!was_empty || f == 0) return;
+    // q now holds flow on j: it offers a move j -> x to every other center.
+    for (std::size_t x = 0; x < k_; ++x) {
+      if (x == j) continue;
+      std::vector<Move>& heap = moves_[j * k_ + x];
+      heap.emplace_back(cost(q, x) - cost(q, j), q);
+      std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+    }
+  }
+
+  /// Cheapest live move from -> to, or nullptr.
+  const Move* cheapest_move(std::size_t from, std::size_t to) {
+    std::vector<Move>& heap = moves_[from * k_ + to];
+    while (!heap.empty() && flow(heap.front().second, from) == 0) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+      heap.pop_back();
+    }
+    return heap.empty() ? nullptr : &heap.front();
+  }
+
+  /// Dijkstra from p over the centers; dist_ holds reduced distances.
+  void shortest_paths(PointIndex p) {
+    for (std::size_t j = 0; j < k_; ++j) {
+      dist_[j] = cost(p, j) - potential_[j];
+      prev_center_[j] = k_;  // k_ = reached directly from p
+      settled_[j] = false;
+    }
+    for (std::size_t round = 0; round < k_; ++round) {
+      std::size_t u = k_;
+      for (std::size_t j = 0; j < k_; ++j) {
+        if (!settled_[j] && (u == k_ || dist_[j] < dist_[u])) u = j;
+      }
+      settled_[u] = true;
+      for (std::size_t v = 0; v < k_; ++v) {
+        if (settled_[v]) continue;
+        const Move* move = cheapest_move(u, v);
+        if (move == nullptr) continue;
+        // Reduced cost; clamp tiny negative values from floating-point noise.
+        const double rc = std::max(0.0, move->first + potential_[u] - potential_[v]);
+        if (dist_[u] + rc < dist_[v]) {
+          dist_[v] = dist_[u] + rc;
+          prev_center_[v] = u;
+          prev_point_[v] = move->second;
+        }
+      }
+    }
+  }
+
+  std::size_t k_;
+  std::vector<double> cost_;        // c(q,j), row-major by point
+  std::vector<std::int64_t> flow_;  // f(q,j)
+  std::vector<std::int64_t> spare_;  // cap_j - load_j
+  std::vector<double> potential_;
+  std::vector<std::vector<Move>> moves_;  // min-heap per ordered (j, j')
+  std::vector<double> dist_;
+  std::vector<std::size_t> prev_center_;
+  std::vector<PointIndex> prev_point_;
+  std::vector<char> settled_;
+};
+
 CapacitatedAssignment solve_flow(const WeightedPointSet& points,
                                  const PointSet& centers,
                                  const std::vector<std::int64_t>& center_cap,
                                  LrOrder r) {
   const PointIndex n = points.size();
-  const int k = static_cast<int>(centers.size());
+  const std::size_t k = static_cast<std::size_t>(centers.size());
   CapacitatedAssignment out;
   out.assignment.assign(static_cast<std::size_t>(n), kUnassigned);
-  out.loads.assign(static_cast<std::size_t>(k), 0.0);
-
-  const std::vector<std::int64_t> w = integral_weights(points);
-  const std::int64_t total =
-      std::accumulate(w.begin(), w.end(), std::int64_t{0});
-  const std::int64_t cap_total =
-      std::accumulate(center_cap.begin(), center_cap.end(), std::int64_t{0});
-  if (total > cap_total) return out;  // infeasible by counting
-
-  // Node layout: 0 = source, 1..n = points, n+1..n+k = centers, n+k+1 = sink.
-  MinCostMaxFlow flow(static_cast<int>(n) + k + 2);
-  const int source = 0;
-  const int sink = static_cast<int>(n) + k + 1;
-  std::vector<int> pc_edge(static_cast<std::size_t>(n) * static_cast<std::size_t>(k));
-  for (PointIndex i = 0; i < n; ++i) {
-    flow.add_edge(source, static_cast<int>(i) + 1, w[static_cast<std::size_t>(i)], 0.0);
-    for (int j = 0; j < k; ++j) {
-      const double cost = dist_pow(points.point(i), centers[j], r);
-      pc_edge[static_cast<std::size_t>(i) * static_cast<std::size_t>(k) +
-              static_cast<std::size_t>(j)] =
-          flow.add_edge(static_cast<int>(i) + 1, static_cast<int>(n) + 1 + j,
-                        w[static_cast<std::size_t>(i)], cost);
-    }
-  }
-  for (int j = 0; j < k; ++j) {
-    flow.add_edge(static_cast<int>(n) + 1 + j, sink,
-                  center_cap[static_cast<std::size_t>(j)], 0.0);
-  }
-
-  const MinCostMaxFlow::Result res = flow.solve(source, sink);
-  if (res.flow != total) return out;  // could not route all weight
+  out.loads.assign(k, 0.0);
+  const std::optional<std::vector<std::int64_t>> flow =
+      optimal_transport_flow(points, centers, center_cap, r);
+  if (!flow) return out;  // infeasible by counting
 
   out.feasible = true;
   out.cost = 0.0;
@@ -77,13 +191,12 @@ CapacitatedAssignment solve_flow(const WeightedPointSet& points,
     // centers; each point is labeled with the center carrying the plurality
     // of its weight while the cost/loads account the true (split) flow.
     std::int64_t best_flow = -1;
-    for (int j = 0; j < k; ++j) {
-      const std::int64_t f =
-          flow.flow_on(pc_edge[static_cast<std::size_t>(i) * static_cast<std::size_t>(k) +
-                               static_cast<std::size_t>(j)]);
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::int64_t f = (*flow)[static_cast<std::size_t>(i) * k + j];
       if (f > 0) {
-        out.loads[static_cast<std::size_t>(j)] += static_cast<double>(f);
-        out.cost += static_cast<double>(f) * dist_pow(points.point(i), centers[j], r);
+        out.loads[j] += static_cast<double>(f);
+        out.cost += static_cast<double>(f) *
+                    dist_pow(points.point(i), centers[static_cast<PointIndex>(j)], r);
         if (f > best_flow) {
           best_flow = f;
           out.assignment[static_cast<std::size_t>(i)] = static_cast<CenterIndex>(j);
@@ -96,14 +209,35 @@ CapacitatedAssignment solve_flow(const WeightedPointSet& points,
 
 }  // namespace
 
+std::optional<std::vector<std::int64_t>> optimal_transport_flow(
+    const WeightedPointSet& points, const PointSet& centers,
+    const std::vector<std::int64_t>& capacity, LrOrder r) {
+  SKC_CHECK(static_cast<PointIndex>(capacity.size()) == centers.size());
+  for (const std::int64_t c : capacity) SKC_CHECK(c >= 0);
+  const std::vector<std::int64_t> w = integral_weights(points);
+  const std::int64_t total =
+      std::accumulate(w.begin(), w.end(), std::int64_t{0});
+  const std::int64_t cap_total =
+      std::accumulate(capacity.begin(), capacity.end(), std::int64_t{0});
+  if (total > cap_total) return std::nullopt;
+
+  Transport transport(points, centers, capacity, r);
+  for (PointIndex i = 0; i < points.size(); ++i) {
+    transport.route(i, w[static_cast<std::size_t>(i)]);
+  }
+  return std::move(transport).take_flow();
+}
+
 CapacitatedAssignment optimal_capacitated_assignment(const WeightedPointSet& points,
                                                      const PointSet& centers,
                                                      double t, LrOrder r) {
   SKC_CHECK(!centers.empty());
   SKC_CHECK(centers.dim() == points.dim() || points.empty());
-  const std::int64_t cap = static_cast<std::int64_t>(std::floor(t + 1e-9));
+  // A capacity above the total weight never binds; clamping it keeps the
+  // integer conversion and the capacity sum in range for any t (NaN -> 0).
+  const double cap = std::min(std::floor(t + 1e-9), points.total_weight());
   std::vector<std::int64_t> caps(static_cast<std::size_t>(centers.size()),
-                                 std::max<std::int64_t>(cap, 0));
+                                 cap > 0.0 ? static_cast<std::int64_t>(cap) : 0);
   return solve_flow(points, centers, caps, r);
 }
 
@@ -118,102 +252,6 @@ CapacitatedAssignment exact_size_assignment(const WeightedPointSet& points,
   SKC_CHECK_MSG(std::llround(total) == size_sum,
                 "prescribed sizes must sum to the total weight");
   return solve_flow(points, centers, sizes, r);
-}
-
-CapacitatedAssignment greedy_capacitated_assignment(const WeightedPointSet& points,
-                                                    const PointSet& centers,
-                                                    double t, LrOrder r,
-                                                    int max_swap_rounds) {
-  const PointIndex n = points.size();
-  const int k = static_cast<int>(centers.size());
-  SKC_CHECK(k >= 1);
-  CapacitatedAssignment out;
-  out.assignment.assign(static_cast<std::size_t>(n), kUnassigned);
-  out.loads.assign(static_cast<std::size_t>(k), 0.0);
-  const double cap = std::floor(t + 1e-9);
-
-  auto cost_of = [&](PointIndex i, int j) {
-    return dist_pow(points.point(i), centers[j], r);
-  };
-
-  // Regret order: points whose best option beats their second-best by the
-  // most go first (they have the most to lose from a full center).
-  std::vector<PointIndex> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), PointIndex{0});
-  std::vector<double> regret(static_cast<std::size_t>(n), 0.0);
-  for (PointIndex i = 0; i < n; ++i) {
-    double best = kInfCost, second = kInfCost;
-    for (int j = 0; j < k; ++j) {
-      const double c = cost_of(i, j);
-      if (c < best) {
-        second = best;
-        best = c;
-      } else if (c < second) {
-        second = c;
-      }
-    }
-    regret[static_cast<std::size_t>(i)] = (k > 1 ? second - best : best);
-  }
-  std::sort(order.begin(), order.end(), [&](PointIndex a, PointIndex b) {
-    return regret[static_cast<std::size_t>(a)] > regret[static_cast<std::size_t>(b)];
-  });
-
-  out.cost = 0.0;
-  for (PointIndex i : order) {
-    const double w = points.weight(i);
-    int best = -1;
-    double best_cost = kInfCost;
-    for (int j = 0; j < k; ++j) {
-      if (out.loads[static_cast<std::size_t>(j)] + w > cap + 1e-9) continue;
-      const double c = cost_of(i, j);
-      if (c < best_cost) {
-        best_cost = c;
-        best = j;
-      }
-    }
-    if (best < 0) {
-      out.feasible = false;
-      out.cost = kInfCost;
-      return out;
-    }
-    out.assignment[static_cast<std::size_t>(i)] = static_cast<CenterIndex>(best);
-    out.loads[static_cast<std::size_t>(best)] += w;
-    out.cost += w * best_cost;
-  }
-  out.feasible = true;
-
-  // Pairwise improvement: swap the assigned centers of two points when that
-  // lowers the cost; unequal weights additionally require a capacity check.
-  for (int round = 0; round < max_swap_rounds; ++round) {
-    bool improved = false;
-    for (PointIndex a = 0; a < n; ++a) {
-      const int ca = out.assignment[static_cast<std::size_t>(a)];
-      const double wa = points.weight(a);
-      for (PointIndex b = a + 1; b < n; ++b) {
-        const int cb = out.assignment[static_cast<std::size_t>(b)];
-        if (ca == cb) continue;
-        const double wb = points.weight(b);
-        if (wa != wb) {
-          const double la = out.loads[static_cast<std::size_t>(ca)] - wa + wb;
-          const double lb = out.loads[static_cast<std::size_t>(cb)] - wb + wa;
-          if (la > cap + 1e-9 || lb > cap + 1e-9) continue;
-        }
-        const double before = wa * cost_of(a, ca) + wb * cost_of(b, cb);
-        const double after = wa * cost_of(a, cb) + wb * cost_of(b, ca);
-        if (after + 1e-9 < before) {
-          out.assignment[static_cast<std::size_t>(a)] = static_cast<CenterIndex>(cb);
-          out.assignment[static_cast<std::size_t>(b)] = static_cast<CenterIndex>(ca);
-          out.loads[static_cast<std::size_t>(ca)] += wb - wa;
-          out.loads[static_cast<std::size_t>(cb)] += wa - wb;
-          out.cost += after - before;
-          improved = true;
-          break;
-        }
-      }
-    }
-    if (!improved) break;
-  }
-  return out;
 }
 
 }  // namespace skc

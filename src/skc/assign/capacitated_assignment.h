@@ -4,15 +4,14 @@
 // clusters with per-cluster weight at most t (Section 2 of the paper).
 // With integral weights (which this library guarantees for its coresets)
 // the transportation LP has an integral optimum, realized exactly by the
-// min-cost max-flow reduction of §3.3.
-//
-// For inputs too large for exact flow, `greedy_capacitated_assignment`
-// provides the regret-greedy + local-swap heuristic used by the large-n
-// benchmark sweeps (its result is an upper bound on the optimum, and the
-// tests compare it against the exact solver on overlapping sizes).
+// min-cost flow of §3.3.  The flow is solved by a transportation solver
+// specialized to few sinks: successive shortest paths over the k centers,
+// O(n k log n + augmentations * k^2) instead of a general min-cost flow over
+// n + k nodes and n k edges.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "skc/common/types.h"
@@ -33,6 +32,15 @@ struct CapacitatedAssignment {
   double max_load() const;
 };
 
+/// The optimal integral transportation flow itself: flow[i * k + j] units of
+/// point i's weight go to center j; row i sums to w(i) and column j to at
+/// most capacity[j].  nullopt iff the total weight exceeds the total
+/// capacity.  Weights must be integral.  The assignments below are
+/// plurality labelings of this flow.
+std::optional<std::vector<std::int64_t>> optimal_transport_flow(
+    const WeightedPointSet& points, const PointSet& centers,
+    const std::vector<std::int64_t>& capacity, LrOrder r);
+
 /// Exact optimal assignment under capacity `t` per center.  Weights must be
 /// integral (SKC_CHECK enforced); `t` is floored to an integer capacity.
 CapacitatedAssignment optimal_capacitated_assignment(const WeightedPointSet& points,
@@ -46,13 +54,5 @@ CapacitatedAssignment exact_size_assignment(const WeightedPointSet& points,
                                             const PointSet& centers,
                                             const std::vector<std::int64_t>& sizes,
                                             LrOrder r);
-
-/// Heuristic: regret-ordered greedy fill followed by pairwise improvement
-/// swaps.  Always feasible when total weight <= k * floor(t) and every
-/// single weight fits; cost is an upper bound on the optimum.
-CapacitatedAssignment greedy_capacitated_assignment(const WeightedPointSet& points,
-                                                    const PointSet& centers,
-                                                    double t, LrOrder r,
-                                                    int max_swap_rounds = 3);
 
 }  // namespace skc

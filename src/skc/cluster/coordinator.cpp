@@ -9,12 +9,9 @@
 #include <utility>
 
 #include "skc/common/check.h"
-#include "skc/common/random.h"
 #include "skc/common/timer.h"
 #include "skc/obs/flight_recorder.h"
 #include "skc/obs/trace.h"
-#include "skc/solve/capacitated_kmedian.h"
-#include "skc/solve/cost.h"
 
 namespace skc::cluster {
 
@@ -553,37 +550,11 @@ EngineQueryResult ClusterCoordinator::query(const EngineQuery& q) {
     }
     result.merge_millis = merge_timer.millis();
 
+    result.ok = true;
     if (!q.summary_only) {
       SKC_TRACE_SPAN("cluster_solve");
-      Timer solve_timer;
-      const int k = q.k > 0 ? q.k : options_.params.k;
-      const double n = static_cast<double>(result.net_points);
-      const double w = result.summary.points.total_weight();
-      if (w <= 0.0) {
-        result.error = "merged summary carries no weight";
-        return result;
-      }
-      // Identical solve path (capacity scaling, seed derivation, solver
-      // choice) to ClusteringEngine::query, so a cluster query over a
-      // partitioned stream matches a single engine fed the union.
-      result.capacity = tight_capacity(n, k) * q.capacity_slack;
-      const double t_summary = result.capacity * w / n;
-      Rng rng(options_.params.seed ^ 0x71756572795f3173ULL);
-      if (options_.params.r.r <= 1.0) {
-        result.solution =
-            capacitated_kmedian(result.summary.points, k, t_summary,
-                                options_.params.r, LocalSearchOptions{}, rng);
-      } else {
-        CapacitatedSolverOptions sopts;
-        sopts.restarts = q.solver_restarts;
-        sopts.delta = Coord{1} << options_.streaming.log_delta;
-        result.solution =
-            capacitated_kmeans(result.summary.points, k, t_summary,
-                               options_.params.r, sopts, rng);
-      }
-      result.solve_millis = solve_timer.millis();
+      solve_summary(q, options_.params, options_.streaming.log_delta, result);
     }
-    result.ok = true;
     return result;
   }
   result.ok = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <condition_variable>
 #include <fstream>
 #include <mutex>
@@ -299,6 +300,49 @@ EngineQueryResult ClusteringEngine::merge_snapshots() {
   return result;
 }
 
+void solve_summary(const EngineQuery& q, const CoresetParams& params,
+                   int log_delta, EngineQueryResult& result) {
+  Timer solve_timer;
+  const int k = q.k > 0 ? q.k : params.k;
+  const PointIndex summary_points = result.summary.points.size();
+  const double w = result.summary.points.total_weight();
+  auto refuse = [&](SolveError code, std::string message) {
+    result.ok = false;
+    result.solve_error = code;
+    result.error = std::move(message);
+  };
+  if (w <= 0.0) {
+    refuse(SolveError::kNoWeight, "merged summary carries no weight");
+  } else if (k > summary_points) {
+    refuse(SolveError::kBadK, "k=" + std::to_string(k) + " exceeds the " +
+                                  std::to_string(summary_points) +
+                                  " points of the merged summary");
+  } else if (!std::isfinite(q.capacity_slack) || q.capacity_slack <= 0.0) {
+    refuse(SolveError::kBadSlack, "capacity_slack must be finite and positive");
+  } else if (q.solver_restarts < 1 || q.solver_restarts > kMaxSolverRestarts) {
+    refuse(SolveError::kBadRestarts, "solver_restarts must be in [1, " +
+                                         std::to_string(kMaxSolverRestarts) + "]");
+  } else {
+    // Capacity in full-data units, rescaled onto the summary's weight (the
+    // summary's total weight is an unbiased estimate of n).
+    const double n = static_cast<double>(result.net_points);
+    result.capacity = tight_capacity(n, k) * q.capacity_slack;
+    const double t_summary = result.capacity * w / n;
+    Rng rng(params.seed ^ 0x71756572795f3173ULL);
+    if (params.r.r <= 1.0) {
+      result.solution = capacitated_kmedian(result.summary.points, k, t_summary,
+                                            params.r, LocalSearchOptions{}, rng);
+    } else {
+      CapacitatedSolverOptions sopts;
+      sopts.restarts = q.solver_restarts;
+      sopts.delta = Coord{1} << log_delta;
+      result.solution = capacitated_kmeans(result.summary.points, k, t_summary,
+                                           params.r, sopts, rng);
+    }
+  }
+  result.solve_millis = solve_timer.millis();
+}
+
 EngineQueryResult ClusteringEngine::query(const EngineQuery& q) {
   SKC_TRACE_SPAN("query");
   obs::LatencyRecorder latency(counters_.query_latency);
@@ -306,31 +350,7 @@ EngineQueryResult ClusteringEngine::query(const EngineQuery& q) {
   EngineQueryResult result = merge_snapshots();
   if (result.ok && !q.summary_only) {
     SKC_TRACE_SPAN("solve");
-    Timer solve_timer;
-    const int k = q.k > 0 ? q.k : params_.k;
-    const double n = static_cast<double>(result.net_points);
-    const double w = result.summary.points.total_weight();
-    if (w <= 0.0) {
-      result.ok = false;
-      result.error = "merged summary carries no weight";
-    } else {
-      // Capacity in full-data units, rescaled onto the summary's weight (the
-      // summary's total weight is an unbiased estimate of n).
-      result.capacity = tight_capacity(n, k) * q.capacity_slack;
-      const double t_summary = result.capacity * w / n;
-      Rng rng(params_.seed ^ 0x71756572795f3173ULL);
-      if (params_.r.r <= 1.0) {
-        result.solution = capacitated_kmedian(result.summary.points, k, t_summary,
-                                              params_.r, LocalSearchOptions{}, rng);
-      } else {
-        CapacitatedSolverOptions sopts;
-        sopts.restarts = q.solver_restarts;
-        sopts.delta = Coord{1} << options_.streaming.log_delta;
-        result.solution = capacitated_kmeans(result.summary.points, k, t_summary,
-                                             params_.r, sopts, rng);
-      }
-      result.solve_millis = solve_timer.millis();
-    }
+    solve_summary(q, params_, options_.streaming.log_delta, result);
   }
   counters_.queries.fetch_add(1, std::memory_order_relaxed);
   // `latency` records the full wall time (barrier included) into

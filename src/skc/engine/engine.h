@@ -105,9 +105,23 @@ struct EngineQuery {
   int solver_restarts = 1;
 };
 
+/// Why solve_summary() refused a query.
+enum class SolveError : std::uint8_t {
+  kNone = 0,
+  kNoWeight,     ///< the merged summary carries no weight
+  kBadK,         ///< k above the merged summary's point count
+  kBadSlack,     ///< capacity_slack is non-finite or not positive
+  kBadRestarts,  ///< solver_restarts outside [1, kMaxSolverRestarts]
+};
+
+/// Upper bound on EngineQuery::solver_restarts (one solution is kept per
+/// restart, so the field must not size an allocation unchecked).
+inline constexpr int kMaxSolverRestarts = 64;
+
 struct EngineQueryResult {
   bool ok = false;
   std::string error;  ///< set iff !ok
+  SolveError solve_error = SolveError::kNone;  ///< set iff the solve refused
   /// Merged coreset at the query epoch (valid when ok).
   Coreset summary;
   /// Capacitated solution on the summary (valid when ok && !summary_only);
@@ -118,6 +132,18 @@ struct EngineQueryResult {
   double merge_millis = 0.0;
   double solve_millis = 0.0;
 };
+
+/// The solve step of a query, shared by ClusteringEngine::query and
+/// ClusterCoordinator::query so an engine and a cluster fed the same stream
+/// answer alike.  Expects `result` to hold the merged summary and net point
+/// count.  Validates the query's (wire-supplied) k, capacity_slack and
+/// solver_restarts against that summary, rescales the full-data capacity
+/// slack * ceil(n / k) onto the summary's weight, and runs capacitated
+/// k-median local search (r <= 1) or balanced Lloyd (r > 1) with a seed
+/// derived from params.seed.  A refused query gets ok = false, an error
+/// message and a typed solve_error; it never reaches a solver precondition.
+void solve_summary(const EngineQuery& q, const CoresetParams& params,
+                   int log_delta, EngineQueryResult& result);
 
 /// Serialized single-builder export of the engine's whole state plus its
 /// epoch watermarks — the unit the cluster protocol ships (kMergeSketch

@@ -1,6 +1,7 @@
-// Min-cost max-flow — the substrate behind every exact capacitated
-// assignment in this library (§3.3 of the paper reduces capacitated
-// assignment to minimum-cost flow).
+// General min-cost max-flow.  The capacitated k-center radius test
+// (solve/capacitated_kcenter) runs on it, and the tests use it as the
+// reference optimum for the few-sink transportation solver behind exact
+// capacitated assignment (assign/capacitated_assignment, §3.3).
 //
 // Successive shortest augmenting paths with Johnson potentials: edge costs
 // are nonnegative reals (dist^r), so Dijkstra applies from the start and

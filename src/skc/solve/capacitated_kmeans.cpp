@@ -12,14 +12,6 @@ namespace skc {
 
 namespace {
 
-CapacitatedAssignment assign(const WeightedPointSet& points, const PointSet& centers,
-                             double t, LrOrder r,
-                             const CapacitatedSolverOptions& options) {
-  return options.use_greedy_assignment
-             ? greedy_capacitated_assignment(points, centers, t, r)
-             : optimal_capacitated_assignment(points, centers, t, r);
-}
-
 PointSet centroid_update(const WeightedPointSet& points, const PointSet& old_centers,
                          const std::vector<CenterIndex>& assignment, LrOrder r,
                          Coord delta) {
@@ -71,8 +63,14 @@ CapacitatedSolution solve_once(const WeightedPointSet& points, int k, double t,
   CapacitatedSolution best;
   PointSet centers = kmeanspp_seed(points, k, r, rng);
   for (int iter = 0; iter < options.max_iters; ++iter) {
-    CapacitatedAssignment a = assign(points, centers, t, r, options);
+    const CapacitatedAssignment a =
+        optimal_capacitated_assignment(points, centers, t, r);
     if (!a.feasible) break;
+    // Relative gain over the best iterate *before* this one; the first
+    // feasible iterate always counts as progress.
+    const double improvement = best.cost == kInfCost ? 1.0
+                               : best.cost > 0.0     ? (best.cost - a.cost) / best.cost
+                                                     : 0.0;
     if (a.cost < best.cost) {
       best.feasible = true;
       best.centers = centers;
@@ -83,10 +81,8 @@ CapacitatedSolution solve_once(const WeightedPointSet& points, int k, double t,
     best.iterations = iter + 1;
     PointSet next = centroid_update(points, centers, a.assignment, r, options.delta);
     if (next == centers) break;  // fixed point
-    const double improvement =
-        best.cost > 0 ? (best.cost - a.cost) / best.cost : 0.0;
+    if (improvement < options.rel_tol) break;
     centers = std::move(next);
-    if (iter > 0 && improvement < options.rel_tol && a.cost >= best.cost) break;
   }
   return best;
 }

@@ -18,10 +18,11 @@ namespace skc {
 
 struct CapacitatedSolverOptions {
   int max_iters = 25;
+  /// Stop once an iterate lowers the best cost so far by less than this
+  /// fraction (or raises it).
   double rel_tol = 1e-4;
   Coord delta = 0;       ///< clamp centers into [1, delta]; 0 = no clamp
   int restarts = 1;      ///< independent k-means++ restarts; best kept
-  bool use_greedy_assignment = false;  ///< heuristic assignment for large n
 };
 
 struct CapacitatedSolution {
@@ -34,8 +35,7 @@ struct CapacitatedSolution {
 };
 
 /// Solves capacitated k-means/k-clustering in l_r over a weighted set with
-/// per-center capacity t.  Requires integral weights unless
-/// options.use_greedy_assignment is set.
+/// per-center capacity t.  Requires integral weights.
 CapacitatedSolution capacitated_kmeans(const WeightedPointSet& points, int k,
                                        double t, LrOrder r,
                                        const CapacitatedSolverOptions& options,

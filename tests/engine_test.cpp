@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -151,6 +152,59 @@ TEST(Engine, QuerySolvesBalancedClustering) {
   EXPECT_EQ(result.solution.centers.size(), 3);
   EXPECT_GT(result.capacity, 0.0);
   EXPECT_GT(result.summary.points.size(), 0);
+}
+
+// Query parameters arrive from the wire unchecked: out-of-range k, slack or
+// restarts must come back as a typed refusal, never reach a solver
+// precondition (SKC_CHECK aborts the process) or size an allocation.
+TEST(Engine, QueryRefusesOutOfRangeParameters) {
+  const Stream stream = churn_workload(600, 200, 43);
+  ClusteringEngine engine(kDim, test_params(), engine_options(2, /*exact=*/true));
+  engine.submit(stream);
+
+  const auto expect_refused = [&](const EngineQuery& q, SolveError code) {
+    const EngineQueryResult result = engine.query(q);
+    EXPECT_FALSE(result.ok);
+    EXPECT_EQ(result.solve_error, code);
+    EXPECT_FALSE(result.error.empty());
+    EXPECT_EQ(result.solution.centers.size(), 0);
+  };
+  EngineQuery q;
+  q.k = 1'000'000;
+  expect_refused(q, SolveError::kBadK);
+  for (const double slack : {std::nan(""), HUGE_VAL, -HUGE_VAL, 0.0, -1.1}) {
+    q = EngineQuery{};
+    q.capacity_slack = slack;
+    expect_refused(q, SolveError::kBadSlack);
+  }
+  for (const int restarts : {0, -3, kMaxSolverRestarts + 1, 1 << 30}) {
+    q = EngineQuery{};
+    q.solver_restarts = restarts;
+    expect_refused(q, SolveError::kBadRestarts);
+  }
+
+  // The bounds themselves are valid, and a summary-only query never solves.
+  q = EngineQuery{};
+  q.solver_restarts = kMaxSolverRestarts;
+  q.k = 1;
+  EngineQueryResult ok = engine.query(q);
+  ASSERT_TRUE(ok.ok) << ok.error;
+  EXPECT_EQ(ok.solve_error, SolveError::kNone);
+  EXPECT_TRUE(ok.solution.feasible);
+  q = EngineQuery{};
+  q.k = 1'000'000;
+  q.summary_only = true;
+  ok = engine.query(q);
+  EXPECT_TRUE(ok.ok) << ok.error;
+
+  // k equal to the summary's point count is the largest k that solves.
+  q = EngineQuery{};
+  q.k = static_cast<int>(ok.summary.points.size());
+  q.capacity_slack = 2.0;
+  ok = engine.query(q);
+  EXPECT_TRUE(ok.ok) << ok.error;
+  q.k += 1;
+  expect_refused(q, SolveError::kBadK);
 }
 
 // Compose-mode merge (per-shard finalize + weighted union) must also serve

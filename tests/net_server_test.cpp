@@ -5,6 +5,7 @@
 // over-limit lengths, mid-frame disconnects) and keep serving.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -261,6 +262,41 @@ TEST(NetServer, MalformedFramesNeverKillTheServer) {
 
   const EngineMetrics m = fx.server.metrics();
   EXPECT_GE(m.net_malformed_frames, 4);
+}
+
+// A QUERY whose k exceeds the summary used to reach the solver's SKC_CHECK
+// and abort the server; it must get an error reply on a connection that
+// keeps serving.
+TEST(NetServer, OutOfRangeQueryGetsErrorReplyAndServerKeepsServing) {
+  ServerFixture fx;
+  ASSERT_TRUE(fx.started);
+  net::SkcClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", fx.server.port()))
+      << client.last_error();
+  ship_stream(client, churn_workload(300, 100, 61), 128);
+
+  net::QueryRequest bad;
+  bad.k = 1'000'000;
+  net::QueryReply reply;
+  ASSERT_TRUE(client.query(bad, reply)) << client.last_error();
+  EXPECT_FALSE(reply.ok);
+  EXPECT_NE(reply.error.find("k=1000000"), std::string::npos) << reply.error;
+
+  bad = net::QueryRequest{};
+  bad.capacity_slack = std::nan("");
+  ASSERT_TRUE(client.query(bad, reply)) << client.last_error();
+  EXPECT_FALSE(reply.ok);
+  bad = net::QueryRequest{};
+  bad.solver_restarts = 1 << 30;
+  ASSERT_TRUE(client.query(bad, reply)) << client.last_error();
+  EXPECT_FALSE(reply.ok);
+
+  // Same connection, well-formed query: answered in full.
+  ASSERT_TRUE(client.query(net::QueryRequest{}, reply)) << client.last_error();
+  ASSERT_TRUE(reply.ok) << reply.error;
+  EXPECT_TRUE(reply.feasible);
+  EXPECT_EQ(reply.net_points, 300);
+  EXPECT_EQ(reply.center_coords.size(), 3u * kDim);
 }
 
 // --------------------------------------------------------------------------

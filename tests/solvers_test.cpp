@@ -142,6 +142,32 @@ TEST(CapacitatedKMeans, NearOptimalOnTinyInstance) {
   EXPECT_LE(sol.cost, 2.0 * brute.cost + 1e-9);
 }
 
+// Regression: the stopping rule compared each iterate with the best cost
+// already updated to that iterate, so balanced Lloyd always stopped after 2
+// iterations.  On this instance iteration 3 and later still improve.
+TEST(CapacitatedKMeans, LloydRunsPastTwoIterationsWhileImproving) {
+  Rng rng(31);
+  MixtureConfig cfg;
+  cfg.dim = 2;
+  cfg.log_delta = 10;
+  cfg.clusters = 6;
+  cfg.n = 600;
+  cfg.skew = 1.0;
+  const WeightedPointSet w = WeightedPointSet::unit(gaussian_mixture(cfg, rng));
+  const double t = tight_capacity(600.0, 4) * 1.1;
+  CapacitatedSolverOptions two;
+  two.max_iters = 2;
+  Rng rng_a(7), rng_b(7);
+  const auto short_run = capacitated_kmeans(w, 4, t, LrOrder{2.0}, two, rng_a);
+  const auto full =
+      capacitated_kmeans(w, 4, t, LrOrder{2.0}, CapacitatedSolverOptions{}, rng_b);
+  ASSERT_TRUE(short_run.feasible);
+  ASSERT_TRUE(full.feasible);
+  EXPECT_EQ(short_run.iterations, 2);
+  EXPECT_GT(full.iterations, 2);
+  EXPECT_LT(full.cost, short_run.cost);
+}
+
 TEST(CapacitatedKMedian, RespectsCapacityAndImproves) {
   Rng rng(15);
   MixtureConfig cfg;

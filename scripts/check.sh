@@ -57,9 +57,33 @@ if [[ -x build/tools/skc_cli ]]; then
   ./build/tools/skc_cli generate 2000 4 2 10 1.2 > "$tmp/pts.csv"
   ./build/tools/skc_cli coreset "$tmp/pts.csv" 4 "$tmp/coreset.csv"
   ./build/tools/skc_cli assign "$tmp/pts.csv" 4 1.1 > "$tmp/assign.txt"
-  printf 'insert 5 5\ninsert 900 900\nflush\nquery\nquit\n' \
+  printf 'slow 0\ninsert 5 5\ninsert 900 900\nflush\nquery\nflight\nquit\n' \
     | ./build/tools/skc_cli serve 2 2 2 10 > "$tmp/serve.txt"
   grep -q '^ok n=2' "$tmp/serve.txt"
+  # A REPL query reaches the flight recorder (threshold 0 captures all).
+  grep -q '"captured":1' "$tmp/serve.txt"
+  # A log_delta the grid cannot hold is a usage error, not an abort.
+  for cmd in 'serve 2 4 1 31' 'worker 2 4 1 31' \
+             'coordinator 2 4 31 --worker 127.0.0.1:1'; do
+    rc=0
+    ./build/tools/skc_cli $cmd < /dev/null 2> /dev/null || rc=$?
+    [[ "$rc" -eq 2 ]]
+  done
+
+  # `serve --tcp` driven by `skc_cli client`: a coordinate that does not
+  # fit a Coord is refused client-side instead of wrapping.
+  ./build/tools/skc_cli serve 2 2 2 10 --tcp 0 > "$tmp/tcp.log" 2> /dev/null &
+  srv=$!
+  for _ in $(seq 1 50); do
+    grep -q '^PORT ' "$tmp/tcp.log" && break
+    sleep 0.2
+  done
+  port=$(awk '/^PORT /{print $2}' "$tmp/tcp.log")
+  printf 'insert 5 5\ninsert 4294967301 5\ninsert 900 900\nquery\nshutdown\n' \
+    | ./build/tools/skc_cli client 127.0.0.1 "$port" > "$tmp/client.txt"
+  wait "$srv"
+  grep -q '^err insert needs coordinates in' "$tmp/client.txt"
+  grep -q '^ok n=2' "$tmp/client.txt"
 
   # Multi-tenant smoke: two namespaces in one registry, isolated counts.
   printf 'tenant a\ninsert 5 5\ninsert 900 900\ntenant b\ninsert 7 7\ntenant a\nflush\nquery\ntenants\nquit\n' \

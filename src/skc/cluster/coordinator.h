@@ -105,7 +105,6 @@ class ClusterCoordinator : public net::FrameServer {
   /// worker remains to accept some slice of it.
   bool submit(const Stream& batch);
   bool insert(std::span<const Coord> p);
-  bool erase(std::span<const Coord> p);
 
   /// Cluster epoch barrier: polls worker heartbeats until every event this
   /// coordinator forwarded has been applied.  (Queries do not need this —
@@ -145,9 +144,39 @@ class ClusterCoordinator : public net::FrameServer {
   /// worker id).
   std::string cluster_trace_json();
 
- protected:
-  net::Status dispatch(const net::FrameHeader& header, std::string_view body,
-                       std::string& reply) override;
+  // Front-door operation hooks (the request table lives in FrameServer).
+  // The workers each host one single-tenant engine, so only the default
+  // tenant has storage behind this front door; owner_of() is already
+  // tenant-aware for deployments that put multi-tenant servers behind it.
+  int dim() const override { return options_.dim; }
+  int log_delta() const override { return options_.streaming.log_delta; }
+  net::Status handle_ingest(std::string_view tenant, const Stream& events,
+                            std::string& diag) override;
+  /// query() arms the flight-recorder capture itself.
+  net::Status handle_query(std::string_view, const EngineQuery& q,
+                           EngineQueryResult& result, std::string&) override {
+    result = query(q);
+    return net::Status::kOk;
+  }
+  /// The durable state is the members' checkpoints: `path` is ignored.
+  net::Status handle_checkpoint(std::string_view tenant,
+                                const std::string& path,
+                                std::string& diag) override;
+  net::Status handle_flush(std::string&) override {
+    flush();
+    return net::Status::kOk;
+  }
+  net::Status handle_metrics_json(std::string& json) override {
+    json = cluster_metrics_json(metrics());
+    return net::Status::kOk;
+  }
+  /// Coordinator-local families plus the skc_cluster_* fleet section.
+  net::Status handle_prometheus(std::string& text) override;
+  net::Status handle_worker_stats(net::WorkerStatsReply& out) override;
+  net::Status handle_cluster_trace(std::string& json) override {
+    json = cluster_trace_json();
+    return net::Status::kOk;
+  }
 
  private:
   /// Buffered event for failover replay (flat copy of one stream event).

@@ -7,7 +7,7 @@ namespace skc {
 HierarchicalGrid::HierarchicalGrid(int dim, int log_delta, Rng& rng)
     : dim_(dim), log_delta_(log_delta) {
   SKC_CHECK(dim >= 1);
-  SKC_CHECK(log_delta >= 1 && log_delta <= 30);
+  SKC_CHECK(log_delta >= 1 && log_delta <= kMaxLogDelta);
   shift_.resize(static_cast<std::size_t>(dim));
   for (auto& v : shift_) v = static_cast<Coord>(rng.next_below(static_cast<std::uint64_t>(delta())));
 }
@@ -15,7 +15,7 @@ HierarchicalGrid::HierarchicalGrid(int dim, int log_delta, Rng& rng)
 HierarchicalGrid::HierarchicalGrid(int dim, int log_delta, std::vector<Coord> shift)
     : dim_(dim), log_delta_(log_delta), shift_(std::move(shift)) {
   SKC_CHECK(dim >= 1);
-  SKC_CHECK(log_delta >= 1 && log_delta <= 30);
+  SKC_CHECK(log_delta >= 1 && log_delta <= kMaxLogDelta);
   SKC_CHECK(static_cast<int>(shift_.size()) == dim);
   for (Coord v : shift_) SKC_CHECK(v >= 0 && v < delta());
 }

@@ -24,6 +24,9 @@
 
 namespace skc {
 
+/// Largest supported log2(Delta): coordinates and cell indices are int32.
+inline constexpr int kMaxLogDelta = 30;
+
 /// Identifies a cell: grid level plus the per-dimension cell index
 /// t_j = floor((p_j - v_j) / g_i).  Level -1 is the root (empty index).
 struct CellKey {

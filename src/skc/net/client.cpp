@@ -160,6 +160,28 @@ bool SkcClient::ping() {
   return true;
 }
 
+namespace {
+
+bool decode_body(std::string_view body, std::string& text) {
+  return decode_text(body, text);
+}
+
+template <class Reply>
+bool decode_body(std::string_view body, Reply& reply) {
+  return reply.decode(body);
+}
+
+}  // namespace
+
+template <class Reply>
+bool SkcClient::call(MsgType type, std::string_view body, Reply& out,
+                     const char* what) {
+  std::string reply;
+  if (!request(type, body, reply)) return false;
+  if (!decode_body(reply, out)) return fail(std::string("undecodable ") + what);
+  return true;
+}
+
 bool SkcClient::batch(MsgType type, int dim, std::span<const Coord> coords,
                       BatchReply* ack) {
   SKC_CHECK(dim >= 1);
@@ -167,10 +189,8 @@ bool SkcClient::batch(MsgType type, int dim, std::span<const Coord> coords,
   PointBatch body;
   body.dim = dim;
   body.coords.assign(coords.begin(), coords.end());
-  std::string reply;
-  if (!request(type, body.encode(), reply)) return false;
   BatchReply parsed;
-  if (!parsed.decode(reply)) return fail("undecodable batch ack");
+  if (!call(type, body.encode(), parsed, "batch ack")) return false;
   if (ack) *ack = parsed;
   return true;
 }
@@ -194,31 +214,19 @@ bool SkcClient::erase(std::span<const Coord> point) {
 }
 
 bool SkcClient::query(const QueryRequest& req, QueryReply& reply) {
-  std::string body;
-  if (!request(MsgType::kQuery, req.encode(), body)) return false;
-  if (!reply.decode(body)) return fail("undecodable query reply");
-  return true;
+  return call(MsgType::kQuery, req.encode(), reply, "query reply");
 }
 
 bool SkcClient::metrics_json(std::string& json) {
-  std::string body;
-  if (!request(MsgType::kMetrics, std::string_view{}, body)) return false;
-  if (!decode_text(body, json)) return fail("undecodable metrics reply");
-  return true;
+  return call(MsgType::kMetrics, {}, json, "metrics reply");
 }
 
 bool SkcClient::trace_json(std::string& json) {
-  std::string body;
-  if (!request(MsgType::kTraceDump, std::string_view{}, body)) return false;
-  if (!decode_text(body, json)) return fail("undecodable trace reply");
-  return true;
+  return call(MsgType::kTraceDump, {}, json, "trace reply");
 }
 
 bool SkcClient::prometheus_text(std::string& text) {
-  std::string body;
-  if (!request(MsgType::kPrometheus, std::string_view{}, body)) return false;
-  if (!decode_text(body, text)) return fail("undecodable prometheus reply");
-  return true;
+  return call(MsgType::kPrometheus, {}, text, "prometheus reply");
 }
 
 bool SkcClient::checkpoint(const std::string& server_path) {
@@ -234,24 +242,16 @@ bool SkcClient::shutdown_server() {
 }
 
 bool SkcClient::worker_hello(const WorkerHello& hello, WorkerHelloReply& reply) {
-  std::string body;
-  if (!request(MsgType::kWorkerHello, hello.encode(), body)) return false;
-  if (!reply.decode(body)) return fail("undecodable worker hello reply");
-  return true;
+  return call(MsgType::kWorkerHello, hello.encode(), reply,
+              "worker hello reply");
 }
 
 bool SkcClient::heartbeat(HeartbeatReply& reply) {
-  std::string body;
-  if (!request(MsgType::kHeartbeat, std::string_view{}, body)) return false;
-  if (!reply.decode(body)) return fail("undecodable heartbeat reply");
-  return true;
+  return call(MsgType::kHeartbeat, {}, reply, "heartbeat reply");
 }
 
 bool SkcClient::merge_sketch(SketchSnapshot& snapshot) {
-  std::string body;
-  if (!request(MsgType::kMergeSketch, std::string_view{}, body)) return false;
-  if (!snapshot.decode(body)) return fail("undecodable sketch snapshot");
-  return true;
+  return call(MsgType::kMergeSketch, {}, snapshot, "sketch snapshot");
 }
 
 bool SkcClient::ship_snapshot(const SketchSnapshot& snapshot) {
@@ -260,42 +260,23 @@ bool SkcClient::ship_snapshot(const SketchSnapshot& snapshot) {
 }
 
 bool SkcClient::fetch_coreset(CoresetReply& reply) {
-  std::string body;
-  if (!request(MsgType::kFetchCoreset, std::string_view{}, body)) return false;
-  if (!reply.decode(body)) return fail("undecodable coreset reply");
-  return true;
+  return call(MsgType::kFetchCoreset, {}, reply, "coreset reply");
 }
 
 bool SkcClient::tenant_stats(std::string& json) {
-  std::string body;
-  if (!request(MsgType::kTenantStats, std::string_view{}, body)) return false;
-  if (!decode_text(body, json)) return fail("undecodable tenant stats reply");
-  return true;
+  return call(MsgType::kTenantStats, {}, json, "tenant stats reply");
 }
 
 bool SkcClient::cluster_trace_json(std::string& json) {
-  std::string body;
-  if (!request(MsgType::kClusterTraceDump, std::string_view{}, body)) {
-    return false;
-  }
-  if (!decode_text(body, json)) return fail("undecodable cluster trace reply");
-  return true;
+  return call(MsgType::kClusterTraceDump, {}, json, "cluster trace reply");
 }
 
 bool SkcClient::worker_stats(WorkerStatsReply& reply) {
-  std::string body;
-  if (!request(MsgType::kWorkerStats, std::string_view{}, body)) return false;
-  if (!reply.decode(body)) return fail("undecodable worker stats reply");
-  return true;
+  return call(MsgType::kWorkerStats, {}, reply, "worker stats reply");
 }
 
 bool SkcClient::flight_recorder_json(std::string& json) {
-  std::string body;
-  if (!request(MsgType::kFlightRecorder, std::string_view{}, body)) {
-    return false;
-  }
-  if (!decode_text(body, json)) return fail("undecodable flight recorder reply");
-  return true;
+  return call(MsgType::kFlightRecorder, {}, json, "flight recorder reply");
 }
 
 }  // namespace skc::net

@@ -123,6 +123,10 @@ class SkcClient {
              BatchReply* ack);
   /// One request/reply exchange with BUSY retry; fills reply body on kOk.
   bool request(MsgType type, std::string_view body, std::string& reply_body);
+  /// request() plus decoding the reply body into `out` (a payload struct,
+  /// or the text of a text-reply RPC); `what` names the reply in errors.
+  template <class Reply>
+  bool call(MsgType type, std::string_view body, Reply& out, const char* what);
   bool fail(const std::string& message);
 
   ClientOptions options_;

@@ -17,7 +17,36 @@ std::size_t type_index(MsgType type) {
   return static_cast<std::size_t>(static_cast<std::uint8_t>(type));
 }
 
+EngineQuery to_engine_query(const QueryRequest& request) {
+  EngineQuery q;
+  q.k = request.k;
+  q.capacity_slack = request.capacity_slack;
+  q.barrier = request.barrier;
+  q.summary_only = request.summary_only;
+  q.solver_restarts = request.solver_restarts;
+  return q;
+}
+
 }  // namespace
+
+QueryReply to_query_reply(const EngineQueryResult& result) {
+  QueryReply out;
+  out.ok = result.ok;
+  out.error = result.error;
+  out.net_points = result.net_points;
+  out.summary_points = static_cast<std::uint64_t>(result.summary.points.size());
+  out.capacity = result.capacity;
+  out.cost = result.solution.cost;
+  out.feasible = result.solution.feasible;
+  out.merge_millis = result.merge_millis;
+  out.solve_millis = result.solve_millis;
+  out.dim = result.solution.centers.dim();
+  for (PointIndex c = 0; c < result.solution.centers.size(); ++c) {
+    const auto p = result.solution.centers[c];
+    out.center_coords.insert(out.center_coords.end(), p.begin(), p.end());
+  }
+  return out;
+}
 
 // ---------------------------------------------------------------------------
 // FrameServer — the protocol-generic transport.
@@ -70,6 +99,10 @@ void FrameServer::accept_loop() {
     }
     raw->thread = std::thread([this, raw] {
       serve_connection(*raw);
+      // Signal EOF at once (the descriptor closes when the connection is
+      // reaped).  Half-close only: a full close with unread request bytes
+      // resets the connection and can discard the diagnostic reply.
+      raw->sock.shutdown_write();
       counters_.connections_active.fetch_add(-1, std::memory_order_relaxed);
       raw->done.store(true, std::memory_order_release);
     });
@@ -182,26 +215,6 @@ bool FrameServer::send_reply(Conn& conn, MsgType type, Status status,
   return io == IoResult::kOk;
 }
 
-Status FrameServer::split_tenant(const FrameHeader& header,
-                                 std::string_view body,
-                                 std::string_view& tenant,
-                                 std::string_view& inner, std::string& reply) {
-  if (header.version == kWireVersion) {
-    tenant = std::string_view{};
-    inner = body;
-    return Status::kOk;
-  }
-  if (!split_tenant_prefix(body, tenant, inner)) {
-    reply = encode_text("truncated tenant prefix");
-    return Status::kUnknownTenant;
-  }
-  if (!tenant.empty() && !valid_tenant_id(tenant)) {
-    reply = encode_text("illegal tenant id (want [A-Za-z0-9._-], <= 64 bytes)");
-    return Status::kUnknownTenant;
-  }
-  return Status::kOk;
-}
-
 void FrameServer::request_shutdown() {
   {
     std::lock_guard<std::mutex> lock(stop_mu_);
@@ -237,151 +250,230 @@ void FrameServer::stop() {
 }
 
 // ---------------------------------------------------------------------------
-// EngineServer — one ClusteringEngine behind the frame transport.
+// The request table: one decode -> hook -> encode path for every front door.
 
-EngineServer::EngineServer(ClusteringEngine& engine, const ServerOptions& options)
-    : FrameServer(options), engine_(engine) {}
+Status FrameServer::admit_tenant(std::string_view tenant,
+                                 std::string& diag) const {
+  if (tenant.empty()) return Status::kOk;
+  // Never a drop: the frame was length-delimited, the stream is intact.
+  diag = "this front door hosts only the default tenant";
+  return Status::kUnknownTenant;
+}
 
-// The base destructor also calls stop(), but by then this subclass (and the
-// engine reference dispatch() uses) is gone — drain here, while it is alive.
-EngineServer::~EngineServer() { stop(); }
-
-Status EngineServer::dispatch(const FrameHeader& header, std::string_view body,
-                              std::string& reply) {
-  // A single-tenant server still speaks version 2, but only for the default
-  // tenant: a non-empty stream id is answered with a typed kUnknownTenant
-  // (never a drop — the frame was length-delimited, the stream is intact).
-  std::string_view tenant, inner;
-  const Status split = split_tenant(header, body, tenant, inner, reply);
-  if (split != Status::kOk) return split;
-  if (!tenant.empty()) {
-    reply = encode_text("this server hosts only the default tenant");
-    return Status::kUnknownTenant;
+Status FrameServer::dispatch(const FrameHeader& header, std::string_view body,
+                             std::string& reply) {
+  std::string diag;
+  const Status status = dispatch_request(header, body, reply, diag);
+  if (status == Status::kMalformed) {
+    counters_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
   }
-  body = inner;
-  const MsgType type = header.type;
-  switch (type) {
+  if (status != Status::kOk && !diag.empty()) reply = encode_text(diag);
+  return status;
+}
+
+Status FrameServer::dispatch_request(const FrameHeader& header,
+                                     std::string_view body, std::string& reply,
+                                     std::string& diag) {
+  // Version-1 frames address the default tenant; version-2 frames carry the
+  // prefix.  An unparseable or illegal id is a typed kUnknownTenant.
+  std::string_view tenant;
+  if (header.version != kWireVersion) {
+    std::string_view inner;
+    if (!split_tenant_prefix(body, tenant, inner)) {
+      diag = "truncated tenant prefix";
+      return Status::kUnknownTenant;
+    }
+    if (!tenant.empty() && !valid_tenant_id(tenant)) {
+      diag = "illegal tenant id (want [A-Za-z0-9._-], <= 64 bytes)";
+      return Status::kUnknownTenant;
+    }
+    body = inner;
+  }
+  if (const Status s = admit_tenant(tenant, diag); s != Status::kOk) return s;
+
+  // Text-reply hooks leave the payload in `text`, or the reason on refusal.
+  std::string text;
+  const auto as_text = [&](Status status) {
+    if (status == Status::kOk) {
+      reply = encode_text(text);
+    } else {
+      diag = std::move(text);
+    }
+    return status;
+  };
+  switch (header.type) {
     case MsgType::kPing:
       reply.assign(body);  // echo
       return Status::kOk;
 
     case MsgType::kInsertBatch:
-    case MsgType::kDeleteBatch: {
-      PointBatch batch;
-      if (!batch.decode(body)) {
-        counters_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
-        reply = encode_text("undecodable point batch");
-        return Status::kMalformed;
-      }
-      if (batch.dim != engine_.dim()) {
-        reply = encode_text("batch dimension does not match the engine");
-        return Status::kEngineError;
-      }
-      const Coord max_coord = Coord{1}
-                              << engine_.options().streaming.log_delta;
-      for (const Coord c : batch.coords) {
-        if (c < 1 || c > max_coord) {
-          reply = encode_text("coordinate outside [1, Delta]");
-          return Status::kEngineError;
-        }
-      }
-      if (draining()) {
-        return Status::kShuttingDown;
-      }
-      if (server_options().busy_backlog > 0 &&
-          engine_.queue_backlog() > server_options().busy_backlog) {
-        counters_.busy_rejections.fetch_add(1, std::memory_order_relaxed);
-        return Status::kBusy;
-      }
-      const std::size_t dim = static_cast<std::size_t>(batch.dim);
-      const std::uint64_t count = batch.count();
-      Stream events(static_cast<std::size_t>(count));
-      const StreamOp op = type == MsgType::kInsertBatch ? StreamOp::kInsert
-                                                        : StreamOp::kDelete;
-      for (std::uint64_t i = 0; i < count; ++i) {
-        events[i].op = op;
-        const Coord* first = batch.coords.data() + i * dim;
-        events[i].point.assign(first, first + dim);
-      }
-      engine_.submit(events);
-      BatchReply ack;
-      ack.accepted = count;
-      ack.backlog = engine_.queue_backlog();
-      reply = ack.encode();
-      return Status::kOk;
-    }
+    case MsgType::kDeleteBatch:
+      return dispatch_ingest(header.type, tenant, body, reply, diag);
 
     case MsgType::kQuery: {
       QueryRequest request;
       if (!request.decode(body)) {
-        counters_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
-        reply = encode_text("undecodable query");
+        diag = "undecodable query";
         return Status::kMalformed;
       }
-      EngineQuery q;
-      q.k = request.k;
-      q.capacity_slack = request.capacity_slack;
-      q.barrier = request.barrier;
-      q.summary_only = request.summary_only;
-      q.solver_restarts = request.solver_restarts;
-      char capture_detail[64];
-      std::snprintf(capture_detail, sizeof(capture_detail),
-                    "engine shards=%d", engine_.num_shards());
-      obs::QueryCapture capture("query", capture_detail);
-      const EngineQueryResult res = engine_.query(q);
-      QueryReply out;
-      out.ok = res.ok;
-      out.error = res.error;
-      out.net_points = res.net_points;
-      out.summary_points = static_cast<std::uint64_t>(res.summary.points.size());
-      out.capacity = res.capacity;
-      out.cost = res.solution.cost;
-      out.feasible = res.solution.feasible;
-      out.merge_millis = res.merge_millis;
-      out.solve_millis = res.solve_millis;
-      out.dim = res.solution.centers.dim();
-      for (PointIndex c = 0; c < res.solution.centers.size(); ++c) {
-        const auto p = res.solution.centers[c];
-        out.center_coords.insert(out.center_coords.end(), p.begin(), p.end());
-      }
-      reply = out.encode();
-      return Status::kOk;  // an engine-level miss travels in out.ok/error
+      EngineQueryResult res;
+      const Status s = handle_query(tenant, to_engine_query(request), res,
+                                    diag);
+      if (s != Status::kOk) return s;
+      // A query-level miss travels in the reply's ok/error, not the status.
+      reply = to_query_reply(res).encode();
+      return Status::kOk;
     }
 
     case MsgType::kMetrics:
-      reply = encode_text(metrics_json(metrics()));
-      return Status::kOk;
+      return as_text(handle_metrics_json(text));
 
     case MsgType::kCheckpoint: {
       CheckpointRequest request;
       if (!request.decode(body)) {
-        counters_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
-        reply = encode_text("undecodable checkpoint request");
+        diag = "undecodable checkpoint request";
         return Status::kMalformed;
       }
-      if (!engine_.checkpoint(request.path)) {
-        reply = encode_text("checkpoint write failed");
-        return Status::kEngineError;
-      }
-      return Status::kOk;
+      return handle_checkpoint(tenant, request.path, diag);
     }
 
     case MsgType::kShutdown:
       return Status::kOk;  // serve_connection requests the drain after replying
 
     case MsgType::kTraceDump:
-      reply = encode_text(obs::Tracer::instance().dump_chrome_json());
-      return Status::kOk;
+      text = obs::Tracer::instance().dump_chrome_json();
+      return as_text(Status::kOk);
 
     case MsgType::kPrometheus:
-      reply = encode_text(obs::prometheus_text(metrics()));
-      return Status::kOk;
+      return as_text(handle_prometheus(text));
 
+    case MsgType::kWorkerHello:
+    case MsgType::kHeartbeat:
+    case MsgType::kMergeSketch:
+    case MsgType::kFetchCoreset:
+    case MsgType::kShipSnapshot:
+      return handle_worker_rpc(header.type, body, reply, diag);
+
+    case MsgType::kTenantStats:
+      return as_text(handle_tenant_stats(tenant, text));
+
+    case MsgType::kClusterTraceDump:
+      return as_text(handle_cluster_trace(text));
+
+    case MsgType::kWorkerStats: {
+      WorkerStatsReply out;
+      const Status s = handle_worker_stats(out);
+      if (s != Status::kOk) return s;
+      out.net_request =
+          HistogramWire::from(counters_.request_latency.snapshot());
+      out.trace_dropped_spans = obs::Tracer::instance().total_dropped();
+      reply = out.encode();
+      return Status::kOk;
+    }
+
+    case MsgType::kFlightRecorder:
+      text = obs::FlightRecorder::instance().dump_json();
+      return as_text(Status::kOk);
+  }
+  diag = "unknown message type";
+  return Status::kUnsupported;
+}
+
+Status FrameServer::dispatch_ingest(MsgType type, std::string_view tenant,
+                                    std::string_view body, std::string& reply,
+                                    std::string& diag) {
+  PointBatch batch;
+  if (!batch.decode(body)) {
+    diag = "undecodable point batch";
+    return Status::kMalformed;
+  }
+  if (batch.dim != dim()) {
+    diag = "batch dimension does not match the server";
+    return Status::kEngineError;
+  }
+  const Coord max_coord = Coord{1} << log_delta();
+  for (const Coord c : batch.coords) {
+    if (c < 1 || c > max_coord) {
+      diag = "coordinate outside [1, Delta]";
+      return Status::kEngineError;
+    }
+  }
+  if (draining()) return Status::kShuttingDown;
+  if (options_.busy_backlog > 0 && queue_backlog() > options_.busy_backlog) {
+    counters_.busy_rejections.fetch_add(1, std::memory_order_relaxed);
+    return Status::kBusy;
+  }
+  const std::size_t d = static_cast<std::size_t>(batch.dim);
+  const std::uint64_t count = batch.count();
+  Stream events(static_cast<std::size_t>(count));
+  const StreamOp op =
+      type == MsgType::kInsertBatch ? StreamOp::kInsert : StreamOp::kDelete;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    events[i].op = op;
+    const Coord* first = batch.coords.data() + i * d;
+    events[i].point.assign(first, first + d);
+  }
+  if (const Status s = handle_ingest(tenant, events, diag); s != Status::kOk) {
+    return s;
+  }
+  BatchReply ack;
+  ack.accepted = count;
+  ack.backlog = queue_backlog();
+  reply = ack.encode();
+  return Status::kOk;
+}
+
+// ---------------------------------------------------------------------------
+// EngineServer — one ClusteringEngine behind the frame transport.
+
+EngineServer::EngineServer(ClusteringEngine& engine, const ServerOptions& options)
+    : FrameServer(options), engine_(engine) {}
+
+// The base destructor also calls stop(), but by then this subclass (and the
+// engine reference the hooks use) is gone — drain here, while it is alive.
+EngineServer::~EngineServer() { stop(); }
+
+Status EngineServer::handle_query(std::string_view, const EngineQuery& q,
+                                  EngineQueryResult& result, std::string&) {
+  char capture_detail[64];
+  std::snprintf(capture_detail, sizeof(capture_detail), "engine shards=%d",
+                engine_.num_shards());
+  obs::QueryCapture capture("query", capture_detail);
+  result = engine_.query(q);
+  return Status::kOk;
+}
+
+Status EngineServer::handle_checkpoint(std::string_view,
+                                       const std::string& path,
+                                       std::string& diag) {
+  if (engine_.checkpoint(path)) return Status::kOk;
+  diag = "checkpoint write failed";
+  return Status::kEngineError;
+}
+
+Status EngineServer::handle_prometheus(std::string& text) {
+  text = obs::prometheus_text(metrics());
+  return Status::kOk;
+}
+
+Status EngineServer::handle_worker_stats(WorkerStatsReply& out) {
+  const EngineMetrics m = engine_.metrics();
+  out.submit = HistogramWire::from(m.submit_latency);
+  out.query = HistogramWire::from(m.query_latency);
+  out.checkpoint = HistogramWire::from(m.checkpoint_latency);
+  TenantEventsRow row;  // single-tenant node: one default-namespace row
+  row.events = m.events_submitted;
+  out.tenants.push_back(std::move(row));
+  return Status::kOk;
+}
+
+Status EngineServer::handle_worker_rpc(MsgType type, std::string_view body,
+                                       std::string& reply, std::string& diag) {
+  switch (type) {
     case MsgType::kWorkerHello: {
       WorkerHello hello;
       if (!hello.decode(body)) {
-        counters_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
-        reply = encode_text("undecodable worker hello");
+        diag = "undecodable worker hello";
         return Status::kMalformed;
       }
       WorkerHelloReply out;
@@ -444,54 +536,23 @@ Status EngineServer::dispatch(const FrameHeader& header, std::string_view body,
       return Status::kOk;
     }
 
-    case MsgType::kTenantStats:
-      reply = encode_text("tenant stats require a multi-tenant server");
-      return Status::kUnsupported;
-
     case MsgType::kShipSnapshot: {
       SketchSnapshot in;
       if (!in.decode(body)) {
-        counters_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
-        reply = encode_text("undecodable sketch snapshot");
+        diag = "undecodable sketch snapshot";
         return Status::kMalformed;
       }
       if (draining()) return Status::kShuttingDown;
       if (!engine_.import_sketch(in.blob)) {
-        reply = encode_text(
-            "sketch blob rejected (configuration mismatch or corruption)");
+        diag = "sketch blob rejected (configuration mismatch or corruption)";
         return Status::kEngineError;
       }
       return Status::kOk;
     }
 
-    case MsgType::kClusterTraceDump:
-      // A single-node server is a cluster of one: answer with the local
-      // rings so the same CLI command works against engines, tenant hosts,
-      // and coordinators.
-      reply = encode_text(obs::Tracer::instance().dump_chrome_json());
-      return Status::kOk;
-
-    case MsgType::kWorkerStats: {
-      const EngineMetrics m = metrics();
-      WorkerStatsReply out;
-      out.submit = HistogramWire::from(m.submit_latency);
-      out.query = HistogramWire::from(m.query_latency);
-      out.checkpoint = HistogramWire::from(m.checkpoint_latency);
-      out.net_request = HistogramWire::from(m.net_request_latency);
-      out.trace_dropped_spans = m.trace_dropped_spans;
-      TenantEventsRow row;  // single-tenant node: one default-namespace row
-      row.events = m.events_submitted;
-      out.tenants.push_back(std::move(row));
-      reply = out.encode();
-      return Status::kOk;
-    }
-
-    case MsgType::kFlightRecorder:
-      reply = encode_text(obs::FlightRecorder::instance().dump_json());
-      return Status::kOk;
+    default:
+      return FrameServer::handle_worker_rpc(type, body, reply, diag);
   }
-  reply = encode_text("unknown message type");
-  return Status::kUnsupported;
 }
 
 void EngineServer::on_drain() {
@@ -506,24 +567,7 @@ void EngineServer::on_drain() {
 
 EngineMetrics EngineServer::metrics() const {
   EngineMetrics m = engine_.metrics();
-  m.net_connections_active =
-      counters_.connections_active.load(std::memory_order_relaxed);
-  m.net_connections_total =
-      counters_.connections_total.load(std::memory_order_relaxed);
-  m.net_bytes_in = counters_.bytes_in.load(std::memory_order_relaxed);
-  m.net_bytes_out = counters_.bytes_out.load(std::memory_order_relaxed);
-  m.net_busy_rejections =
-      counters_.busy_rejections.load(std::memory_order_relaxed);
-  m.net_malformed_frames =
-      counters_.malformed_frames.load(std::memory_order_relaxed);
-  m.net_requests_by_type.resize(kNumMsgTypes);
-  for (int t = 0; t < kNumMsgTypes; ++t) {
-    m.net_requests_by_type[static_cast<std::size_t>(t)] =
-        counters_.requests_by_type[static_cast<std::size_t>(t)].load(
-            std::memory_order_relaxed);
-  }
-  m.net_request_latency = counters_.request_latency.snapshot();
-  m.trace_dropped_spans = obs::Tracer::instance().total_dropped();
+  fill_transport_metrics(m);
   return m;
 }
 

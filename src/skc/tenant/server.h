@@ -1,5 +1,6 @@
-// TenantServer — the multi-tenant front door: a FrameServer whose dispatch
-// routes every request to a TenantRegistry namespace.
+// TenantServer — the multi-tenant front door: a FrameServer whose operation
+// hooks route every request to a TenantRegistry namespace (the request
+// table itself lives in net::FrameServer).
 //
 // Protocol surface:
 //   * version-1 frames address the default tenant ("") and stay
@@ -33,13 +34,33 @@ class TenantServer : public net::FrameServer {
   TenantServer(TenantRegistry& registry, const net::ServerOptions& options);
   ~TenantServer() override;
 
-  /// Transport counters as an EngineMetrics block (engine fields zero —
-  /// per-tenant engine state travels in TenantRegistry::stats()).
-  EngineMetrics transport_metrics() const;
+  int dim() const override { return registry_.options().dim; }
+  int log_delta() const override {
+    return registry_.options().engine.streaming.log_delta;
+  }
+  net::Status admit_tenant(std::string_view, std::string&) const override {
+    return net::Status::kOk;  // every stream id owns a namespace
+  }
+  net::Status handle_ingest(std::string_view tenant, const Stream& events,
+                            std::string& diag) override;
+  /// Arms the flight-recorder capture, so REPL queries are captured too.
+  net::Status handle_query(std::string_view tenant, const EngineQuery& q,
+                           EngineQueryResult& result,
+                           std::string& diag) override;
+  net::Status handle_checkpoint(std::string_view tenant,
+                                const std::string& path,
+                                std::string& diag) override;
+  net::Status handle_flush(std::string&) override {
+    registry_.flush();
+    return net::Status::kOk;
+  }
+  net::Status handle_metrics_json(std::string& json) override;
+  net::Status handle_prometheus(std::string& text) override;
+  net::Status handle_worker_stats(net::WorkerStatsReply& out) override;
+  net::Status handle_tenant_stats(std::string_view tenant,
+                                  std::string& json) override;
 
  protected:
-  net::Status dispatch(const net::FrameHeader& header, std::string_view body,
-                       std::string& reply) override;
   void on_drain() override;
 
  private:

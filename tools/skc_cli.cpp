@@ -37,12 +37,19 @@
 //                                                       the given workers
 //
 // Points are integer CSV rows; see src/skc/geometry/io.h for the format.
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "skc/geometry/io.h"
@@ -215,362 +222,390 @@ int cmd_generate(int argc, char** argv) {
   return 0;
 }
 
-// Multi-tenant serve mode (`serve ... --tenants`): every stream id owns an
-// independent namespace inside one TenantRegistry.  With --tcp the registry
-// is hosted behind a TenantServer (version-2 frames; old clients land on
-// the default tenant); without it the REPL grows `tenant <id>` to switch
-// the addressed namespace and `tenants` / `stats [id]` for accounting.
-int serve_tenants(const tenant::TenantRegistryOptions& topts, int dim, int k,
-                  long tcp_port) {
-  tenant::TenantRegistry registry(topts);
-  const int log_delta = topts.engine.streaming.log_delta;
+/// Parses one port in [lo, 65535]; false on anything else.
+bool parse_port(const std::string& text, long lo, std::uint16_t& port) {
+  const long value = std::atol(text.c_str());
+  if (value < lo || value > 65535) return false;
+  port = static_cast<std::uint16_t>(value);
+  return true;
+}
 
-  if (tcp_port >= 0) {
-    net::ServerOptions sopts;
-    sopts.port = static_cast<std::uint16_t>(tcp_port);
-    tenant::TenantServer server(registry, sopts);
-    std::string error;
-    if (!server.start(error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
+// Command line shared by `serve`, `worker` and `coordinator`: the
+// `<dim> <k> [shards] [log_delta]` positionals (`coordinator` takes no
+// shards), --trace and --slow-ms applied on the spot, and every other flag
+// the command declares kept by name, in command-line order.
+struct NodeArgs {
+  int dim = 0;
+  int k = 0;
+  int shards = 4;
+  int log_delta = 12;
+  std::vector<std::pair<std::string, std::string>> flags;
+};
+
+/// False on a malformed command line (the caller answers with usage()).
+/// `valued` lists the command's flags that take a value, `bare` the rest.
+bool parse_node_args(int argc, char** argv, bool with_shards,
+                     std::initializer_list<std::string_view> valued,
+                     std::initializer_list<std::string_view> bare,
+                     NodeArgs& out) {
+  const auto listed = [](std::initializer_list<std::string_view> names,
+                         std::string_view arg) {
+    return std::find(names.begin(), names.end(), arg) != names.end();
+  };
+  std::vector<const char*> pos;
+  for (int i = 2; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--trace") {
+      obs::Tracer::instance().set_enabled(true);
+    } else if (arg == "--slow-ms") {
+      if (i + 1 >= argc) return false;
+      const double threshold = std::atof(argv[++i]);
+      if (threshold < 0) return false;
+      obs::FlightRecorder::instance().set_threshold_millis(threshold);
+    } else if (listed(valued, arg)) {
+      if (i + 1 >= argc) return false;
+      out.flags.emplace_back(arg, argv[++i]);
+    } else if (listed(bare, arg)) {
+      out.flags.emplace_back(arg, "");
+    } else {
+      pos.push_back(argv[i]);
     }
-    std::fprintf(stderr,
-                 "tenant server listening on 127.0.0.1:%u (dim=%d k=%d "
-                 "log_delta=%d max_resident=%d spill=%s)\n"
-                 "drive it with: skc_cli client 127.0.0.1 %u --tenant <id>\n",
-                 server.port(), dim, k, log_delta, topts.max_resident,
-                 topts.spill_dir.empty() ? "<off>" : topts.spill_dir.c_str(),
-                 server.port());
-    server.wait();
-    server.stop();
-    std::fprintf(stderr, "%s\n", registry.stats_json().c_str());
-    return 0;
   }
+  if (pos.size() < 2 || pos.size() > (with_shards ? 4u : 3u)) return false;
+  out.dim = std::atoi(pos[0]);
+  out.k = std::atoi(pos[1]);
+  std::size_t next = 2;
+  if (with_shards && pos.size() > next) out.shards = std::atoi(pos[next++]);
+  if (pos.size() > next) out.log_delta = std::atoi(pos[next]);
+  // The grid needs log_delta in [1, kMaxLogDelta]; the REPLs need >= 2.
+  return out.dim >= 1 && out.k >= 1 && out.shards >= 1 &&
+         out.log_delta >= 2 && out.log_delta <= kMaxLogDelta;
+}
 
-  const long long max_coord = 1LL << log_delta;
+/// The sketch configuration every node command derives from its arguments
+/// (workers and coordinators must agree on it: WORKER_HELLO compares
+/// fingerprints).
+CoresetParams node_params(const NodeArgs& a) {
+  return CoresetParams::practical(a.k, LrOrder{2.0}, 0.2, 0.2);
+}
+
+std::string node_shape(const NodeArgs& a) {
+  char shape[128];
+  std::snprintf(shape, sizeof(shape), "(dim=%d k=%d shards=%d log_delta=%d)",
+                a.dim, a.k, a.shards, a.log_delta);
+  return shape;
+}
+
+EngineOptions node_engine_options(const NodeArgs& a) {
+  EngineOptions opts;
+  opts.num_shards = a.shards;
+  opts.streaming.log_delta = a.log_delta;
+  return opts;
+}
+
+/// Reads the rest of a REPL line as one point: integer coordinates in
+/// [lo, hi], exactly `dim` of them (`dim` 0: any positive count).  A value
+/// outside the range — Coord's included — is refused, never wrapped.
+bool parse_point(std::istream& in, const std::string& cmd, int dim,
+                 long long lo, long long hi, std::vector<Coord>& point,
+                 std::string& err) {
+  point.clear();
+  bool ok = true;
+  for (std::string token; in >> token;) {
+    long long value = 0;
+    const auto [end, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), value);
+    ok = ok && ec == std::errc() && end == token.data() + token.size() &&
+         value >= lo && value <= hi;
+    if (ok) point.push_back(static_cast<Coord>(value));
+  }
+  if (ok && (dim > 0 ? point.size() == static_cast<std::size_t>(dim)
+                     : !point.empty())) {
+    return true;
+  }
+  err = cmd + " needs " + (dim > 0 ? std::to_string(dim) + " " : "") +
+        "coordinates in [" + std::to_string(lo) + ", " + std::to_string(hi) +
+        "]";
+  return false;
+}
+
+/// Writes a fetched text to the path named next on the line ("-" or none =
+/// stdout), answering `ok <path>` for a file.
+void write_text_reply(std::istream& in, const std::string& text) {
+  std::string path = "-";
+  in >> path;
+  if (!write_text_file(path, text)) {
+    std::printf("err cannot write %s\n", path.c_str());
+  } else if (path != "-") {
+    std::printf("ok %s\n", path.c_str());
+  }
+}
+
+/// A query answer as REPL lines: `ok n=...` plus one `center` line per
+/// center, or `err <reason>` for a query-level miss.
+void print_query(const net::QueryReply& res) {
+  if (!res.ok) {
+    std::printf("err %s\n", res.error.c_str());
+    return;
+  }
+  std::printf("ok n=%lld summary=%llu capacity=%.0f cost=%.6g "
+              "merge_ms=%.1f solve_ms=%.1f\n",
+              static_cast<long long>(res.net_points),
+              static_cast<unsigned long long>(res.summary_points), res.capacity,
+              res.cost, res.merge_millis, res.solve_millis);
+  const std::size_t dim = static_cast<std::size_t>(res.dim);
+  for (std::size_t c = 0; dim > 0 && c + dim <= res.center_coords.size();
+       c += dim) {
+    std::printf("center");
+    for (std::size_t i = 0; i < dim; ++i) {
+      std::printf(" %d", res.center_coords[c + i]);
+    }
+    std::printf("\n");
+  }
+}
+
+/// A front door's closing metrics JSON, on stderr.
+void print_metrics(net::FrameServer& door) {
+  std::string json;
+  if (door.handle_metrics_json(json) == net::Status::kOk) {
+    std::fprintf(stderr, "%s\n", json.c_str());
+  }
+}
+
+// One line-oriented REPL over any in-process front door (`serve`, `serve
+// --tenants`, `coordinator`).  Every command calls the operation hook the
+// wire request table calls, so an operation the front door lacks answers
+// `err unsupported`.  Reads commands from stdin, answers on stdout ("ok ..."
+// / "err ..."), diagnostics on stderr — scriptable with a pipe, usable by
+// hand.  Ends on `quit` or end of input with the metrics JSON on stderr.
+// `extra` runs front-door-specific commands (false: not one of them).
+int run_repl(
+    net::FrameServer& door, const std::string& banner,
+    const std::function<bool(const std::string&, std::istream&)>& extra = {}) {
+  const int dim = door.dim();
+  const long long max_coord = 1LL << door.log_delta();
   std::fprintf(stderr,
-               "tenant registry up: dim=%d k=%d log_delta=%d max_resident=%d\n"
-               "commands:  tenant [id] | tenants | stats [id]\n"
-               "           insert c1 .. c%d | delete c1 .. c%d | query [slack]\n"
-               "           flush | metrics | prom | checkpoint <path> | quit\n",
-               dim, k, log_delta, topts.max_resident, dim, dim);
+               "%s\n"
+               "commands:  insert c1 .. c%d | delete c1 .. c%d | "
+               "query [slack] | flush\n"
+               "           metrics | prom | checkpoint <path> | "
+               "cluster-trace [path]\n"
+               "           tenant [id] | tenants | stats [id]\n"
+               "           trace on|off|dump [path] | slow [ms] | "
+               "flight [path] | quit\n",
+               banner.c_str(), dim, dim);
 
-  std::string current;  // addressed namespace ("" = default tenant)
+  std::string current;  // addressed tenant ("" = default)
   std::string line;
   while (std::getline(std::cin, line)) {
     std::istringstream in(line);
     std::string cmd;
     if (!(in >> cmd) || cmd[0] == '#') continue;
     if (cmd == "quit" || cmd == "exit") break;
-    if (cmd == "tenant") {
-      std::string id;
-      in >> id;  // no argument = back to the default tenant
-      if (!id.empty() && !net::valid_tenant_id(id)) {
-        std::printf("err invalid tenant id '%s'\n", id.c_str());
-        continue;
-      }
-      current = id;
-      std::printf("ok tenant '%s'\n", current.c_str());
-    } else if (cmd == "tenants") {
-      std::printf("%s\n", registry.stats_json().c_str());
-    } else if (cmd == "stats") {
-      std::string id = current;
-      in >> id;
-      std::string json;
-      if (registry.tenant_stats_json(id, json)) {
-        std::printf("%s\n", json.c_str());
+    // A hook's text: its payload on success, the reason on a refusal.
+    std::string text;
+    net::Status status = net::Status::kOk;
+    if (cmd == "insert" || cmd == "delete") {
+      std::vector<Coord> p;
+      if (!parse_point(in, cmd, dim, 1, max_coord, p, text)) {
+        std::printf("err %s\n", text.c_str());
       } else {
-        std::printf("err unknown tenant '%s'\n", id.c_str());
-      }
-    } else if (cmd == "insert" || cmd == "delete") {
-      std::vector<Coord> p(static_cast<std::size_t>(dim));
-      bool ok = true;
-      for (int i = 0; i < dim; ++i) {
-        long long c = 0;
-        if (!(in >> c) || c < 1 || c > max_coord) {
-          ok = false;
-          break;
-        }
-        p[static_cast<std::size_t>(i)] = static_cast<Coord>(c);
-      }
-      if (!ok) {
-        std::printf("err %s needs %d coordinates in [1, %lld]\n", cmd.c_str(),
-                    dim, max_coord);
-        continue;
-      }
-      Stream batch;
-      batch.push_back(StreamEvent{
-          cmd == "insert" ? StreamOp::kInsert : StreamOp::kDelete,
-          std::move(p)});
-      const tenant::Admit verdict = registry.submit(current, batch);
-      if (verdict == tenant::Admit::kOk) {
-        std::printf("ok\n");
-      } else {
-        std::printf("err %s\n", tenant::admit_name(verdict));
+        const Stream batch{StreamEvent{
+            cmd == "insert" ? StreamOp::kInsert : StreamOp::kDelete,
+            std::move(p)}};
+        status = door.handle_ingest(current, batch, text);
+        if (status == net::Status::kOk) std::printf("ok\n");
       }
     } else if (cmd == "query") {
       EngineQuery q;
       if (double slack = 0; in >> slack) q.capacity_slack = slack;
       EngineQueryResult res;
-      const tenant::Admit verdict = registry.query(current, q, res);
-      if (verdict != tenant::Admit::kOk) {
-        std::printf("err %s\n", tenant::admit_name(verdict));
-        continue;
-      }
-      if (!res.ok) {
-        std::printf("err %s\n", res.error.c_str());
-        continue;
-      }
-      std::printf("ok n=%lld summary=%lld capacity=%.0f cost=%.6g "
-                  "merge_ms=%.1f solve_ms=%.1f\n",
-                  static_cast<long long>(res.net_points),
-                  static_cast<long long>(res.summary.points.size()),
-                  res.capacity, res.solution.cost, res.merge_millis,
-                  res.solve_millis);
-      for (PointIndex c = 0; c < res.solution.centers.size(); ++c) {
-        std::printf("center %s\n", to_string(res.solution.centers[c]).c_str());
-      }
+      status = door.handle_query(current, q, res, text);
+      if (status == net::Status::kOk) print_query(net::to_query_reply(res));
     } else if (cmd == "flush") {
-      registry.flush();
-      std::printf("ok\n");
+      status = door.handle_flush(text);
+      if (status == net::Status::kOk) std::printf("ok\n");
     } else if (cmd == "metrics") {
-      std::printf("%s\n", registry.stats_json().c_str());
+      status = door.handle_metrics_json(text);
+      if (status == net::Status::kOk) std::printf("%s\n", text.c_str());
     } else if (cmd == "prom") {
-      std::printf("%s", tenant::tenant_prometheus_text(EngineMetrics{},
-                                                       registry.stats())
-                            .c_str());
+      status = door.handle_prometheus(text);
+      if (status == net::Status::kOk) std::printf("%s", text.c_str());
     } else if (cmd == "checkpoint") {
       std::string path;
-      if (!(in >> path)) {
-        std::printf("err checkpoint needs a path\n");
-        continue;
+      in >> path;
+      status = door.handle_checkpoint(current, path, text);
+      if (status == net::Status::kOk) {
+        std::printf("ok%s%s\n", path.empty() ? "" : " ", path.c_str());
       }
-      const tenant::Admit verdict = registry.checkpoint(current, path);
-      if (verdict == tenant::Admit::kOk) {
-        std::printf("ok %s\n", path.c_str());
+    } else if (cmd == "cluster-trace") {
+      status = door.handle_cluster_trace(text);
+      if (status == net::Status::kOk) write_text_reply(in, text);
+    } else if (cmd == "tenant") {
+      std::string id;
+      in >> id;  // no argument = back to the default tenant
+      if (!net::valid_tenant_id(id)) {
+        std::printf("err invalid tenant id '%s'\n", id.c_str());
       } else {
-        std::printf("err %s\n", tenant::admit_name(verdict));
-      }
-    } else {
-      std::printf("err unknown command '%s'\n", cmd.c_str());
-    }
-    std::fflush(stdout);
-  }
-  std::fprintf(stderr, "%s\n", registry.stats_json().c_str());
-  return 0;
-}
-
-// Line-oriented REPL over a live ClusteringEngine.  Reads commands from
-// stdin, answers on stdout ("ok ..." / "err ..."), diagnostics on stderr —
-// scriptable with a pipe, usable by hand.  With --tcp <port> the engine is
-// hosted on a loopback TCP socket instead (drive it with `skc_cli client`);
-// port 0 picks an ephemeral port, printed to stderr.
-int cmd_serve(int argc, char** argv) {
-  std::vector<const char*> pos;
-  long tcp_port = -1;
-  bool tenants = false;
-  std::string spill_dir;
-  int max_resident = 256;
-  double rate = 0.0;
-  for (int i = 2; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--tcp")) {
-      if (i + 1 >= argc) return usage();
-      tcp_port = std::atol(argv[++i]);
-      if (tcp_port < 0 || tcp_port > 65535) return usage();
-    } else if (!std::strcmp(argv[i], "--trace")) {
-      obs::Tracer::instance().set_enabled(true);
-    } else if (!std::strcmp(argv[i], "--slow-ms")) {
-      if (i + 1 >= argc) return usage();
-      const double threshold = std::atof(argv[++i]);
-      if (threshold < 0) return usage();
-      obs::FlightRecorder::instance().set_threshold_millis(threshold);
-    } else if (!std::strcmp(argv[i], "--tenants")) {
-      tenants = true;
-    } else if (!std::strcmp(argv[i], "--spill")) {
-      if (i + 1 >= argc) return usage();
-      spill_dir = argv[++i];
-    } else if (!std::strcmp(argv[i], "--max-resident")) {
-      if (i + 1 >= argc) return usage();
-      max_resident = std::atoi(argv[++i]);
-      if (max_resident < 1) return usage();
-    } else if (!std::strcmp(argv[i], "--rate")) {
-      if (i + 1 >= argc) return usage();
-      rate = std::atof(argv[++i]);
-      if (rate < 0) return usage();
-    } else {
-      pos.push_back(argv[i]);
-    }
-  }
-  if (pos.size() < 2) return usage();
-  const int dim = std::atoi(pos[0]);
-  const int k = std::atoi(pos[1]);
-  const int shards = pos.size() >= 3 ? std::atoi(pos[2]) : 4;
-  const int log_delta = pos.size() >= 4 ? std::atoi(pos[3]) : 12;
-  if (dim < 1 || k < 1 || shards < 1 || log_delta < 2) return usage();
-
-  const CoresetParams params = CoresetParams::practical(k, LrOrder{2.0}, 0.2, 0.2);
-  EngineOptions opts;
-  opts.num_shards = shards;
-  opts.streaming.log_delta = log_delta;
-
-  if (tenants) {
-    tenant::TenantRegistryOptions topts;
-    topts.dim = dim;
-    topts.params = params;
-    topts.engine = opts;
-    topts.max_resident = max_resident;
-    topts.spill_dir = spill_dir;
-    topts.quotas.max_events_per_second = rate;
-    return serve_tenants(topts, dim, k, tcp_port);
-  }
-
-  ClusteringEngine engine(dim, params, opts);
-
-  if (tcp_port >= 0) {
-    net::ServerOptions sopts;
-    sopts.port = static_cast<std::uint16_t>(tcp_port);
-    net::EngineServer server(engine, sopts);
-    std::string error;
-    if (!server.start(error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "engine listening on 127.0.0.1:%u (dim=%d k=%d shards=%d "
-                 "log_delta=%d)\ndrive it with: skc_cli client 127.0.0.1 %u\n",
-                 server.port(), dim, k, shards, log_delta, server.port());
-    server.wait();  // until a client sends SHUTDOWN (or the process is killed)
-    server.stop();
-    const EngineMetrics m = server.metrics();
-    engine.shutdown();
-    std::fprintf(stderr, "%s\n", metrics_json(m).c_str());
-    return 0;
-  }
-
-  const long long max_coord = 1LL << log_delta;
-  std::fprintf(stderr,
-               "engine up: dim=%d k=%d shards=%d log_delta=%d\n"
-               "commands:  insert c1 .. c%d | delete c1 .. c%d | query [slack]\n"
-               "           flush | metrics | prom | trace on|off|dump <path>\n"
-               "           slow [ms] | flight [path]\n"
-               "           checkpoint <path> | restore <path> | quit\n",
-               dim, k, shards, log_delta, dim, dim);
-
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    std::istringstream in(line);
-    std::string cmd;
-    if (!(in >> cmd) || cmd[0] == '#') continue;
-    if (cmd == "quit" || cmd == "exit") break;
-    if (cmd == "insert" || cmd == "delete") {
-      std::vector<Coord> p(static_cast<std::size_t>(dim));
-      bool ok = true;
-      for (int i = 0; i < dim; ++i) {
-        long long c = 0;
-        if (!(in >> c) || c < 1 || c > max_coord) {
-          ok = false;
-          break;
+        status = door.admit_tenant(id, text);
+        if (status == net::Status::kOk) {
+          current = id;
+          std::printf("ok tenant '%s'\n", current.c_str());
         }
-        p[static_cast<std::size_t>(i)] = static_cast<Coord>(c);
       }
-      if (!ok) {
-        std::printf("err %s needs %d coordinates in [1, %lld]\n", cmd.c_str(),
-                    dim, max_coord);
-        continue;
-      }
-      if (cmd == "insert") {
-        engine.insert(p);
-      } else {
-        engine.erase(p);
-      }
-      std::printf("ok\n");
-    } else if (cmd == "query") {
-      EngineQuery q;
-      if (double slack = 0; in >> slack) q.capacity_slack = slack;
-      const EngineQueryResult res = engine.query(q);
-      if (!res.ok) {
-        std::printf("err %s\n", res.error.c_str());
-        continue;
-      }
-      std::printf("ok n=%lld summary=%lld capacity=%.0f cost=%.6g "
-                  "merge_ms=%.1f solve_ms=%.1f\n",
-                  static_cast<long long>(res.net_points),
-                  static_cast<long long>(res.summary.points.size()),
-                  res.capacity, res.solution.cost, res.merge_millis,
-                  res.solve_millis);
-      for (PointIndex c = 0; c < res.solution.centers.size(); ++c) {
-        std::printf("center %s\n", to_string(res.solution.centers[c]).c_str());
-      }
-    } else if (cmd == "flush") {
-      engine.flush();
-      std::printf("ok applied=%lld\n",
-                  static_cast<long long>(engine.metrics().events_applied));
-    } else if (cmd == "metrics") {
-      std::printf("%s\n", metrics_json(engine.metrics()).c_str());
-    } else if (cmd == "prom") {
-      std::printf("%s", obs::prometheus_text(engine.metrics()).c_str());
+    } else if (cmd == "tenants" || cmd == "stats") {
+      std::string id = cmd == "stats" ? current : "";
+      in >> id;
+      status = door.handle_tenant_stats(id, text);
+      if (status == net::Status::kOk) std::printf("%s\n", text.c_str());
     } else if (cmd == "trace") {
       std::string sub;
-      if (!(in >> sub)) {
-        std::printf("err trace needs on|off|dump <path>\n");
-      } else if (sub == "on" || sub == "off") {
+      in >> sub;
+      if (sub == "on" || sub == "off") {
         obs::Tracer::instance().set_enabled(sub == "on");
         std::printf("ok tracing %s\n", sub.c_str());
       } else if (sub == "dump") {
-        std::string path;
-        if (!(in >> path)) {
-          std::printf("err trace dump needs a path (or -)\n");
-        } else if (write_text_file(path, obs::Tracer::instance().dump_chrome_json())) {
-          std::printf("ok %lld spans\n",
-                      static_cast<long long>(
-                          obs::Tracer::instance().events().size()));
-        } else {
-          std::printf("err cannot write %s\n", path.c_str());
-        }
+        write_text_reply(in, obs::Tracer::instance().dump_chrome_json());
       } else {
-        std::printf("err unknown trace subcommand '%s'\n", sub.c_str());
+        std::printf("err trace needs on|off|dump [path]\n");
       }
     } else if (cmd == "slow") {
-      if (double threshold = 0; in >> threshold) {
-        if (threshold < 0) {
-          std::printf("err slow threshold must be >= 0 ms\n");
-          continue;
-        }
-        obs::FlightRecorder::instance().set_threshold_millis(threshold);
-      }
-      std::printf("ok slow threshold %.3f ms\n",
-                  obs::FlightRecorder::instance().threshold_millis());
-    } else if (cmd == "flight") {
-      std::string path = "-";
-      in >> path;
-      if (write_text_file(path, obs::FlightRecorder::instance().dump_json())) {
-        if (path != "-") std::printf("ok %s\n", path.c_str());
+      double threshold = 0;
+      const bool set = static_cast<bool>(in >> threshold);
+      if (set && threshold < 0) {
+        std::printf("err slow threshold must be >= 0 ms\n");
       } else {
-        std::printf("err cannot write %s\n", path.c_str());
+        if (set) obs::FlightRecorder::instance().set_threshold_millis(threshold);
+        std::printf("ok slow threshold %.3f ms\n",
+                    obs::FlightRecorder::instance().threshold_millis());
       }
-    } else if (cmd == "checkpoint" || cmd == "restore") {
-      std::string path;
-      if (!(in >> path)) {
-        std::printf("err %s needs a path\n", cmd.c_str());
-        continue;
-      }
-      const bool saved = cmd == "checkpoint" ? engine.checkpoint(path)
-                                             : engine.restore(path);
-      std::printf(saved ? "ok %s\n" : "err %s failed\n", path.c_str());
-    } else {
+    } else if (cmd == "flight") {
+      write_text_reply(in, obs::FlightRecorder::instance().dump_json());
+    } else if (!extra || !extra(cmd, in)) {
       std::printf("err unknown command '%s'\n", cmd.c_str());
+    }
+    if (status != net::Status::kOk) {
+      std::printf("err %s%s%s\n", net::status_name(status),
+                  text.empty() ? "" : ": ", text.c_str());
     }
     std::fflush(stdout);
   }
-  engine.shutdown();
-  std::fprintf(stderr, "%s\n", metrics_json(engine.metrics()).c_str());
+  print_metrics(door);
   return 0;
 }
 
-// REPL against a remote EngineServer — the network twin of cmd_serve's
-// in-process loop, speaking the same commands over SkcClient.  The point
-// dimension lives server-side, so insert/delete take however many
-// coordinates appear on the line.
+/// `serve --tcp` and `worker`: hosts `door` on 127.0.0.1 until a client
+/// sends SHUTDOWN (or the process is killed), then prints its metrics JSON
+/// on stderr.  Prints "PORT <n>" on stdout first, so spawners (and humans)
+/// learn the kernel-assigned port of port 0.
+int host_tcp(net::FrameServer& door, const std::string& what,
+             const char* client_hint) {
+  std::string error;
+  if (!door.start(error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 1;
+  }
+  std::printf("PORT %u\n", door.port());
+  std::fflush(stdout);
+  std::fprintf(stderr,
+               "%s listening on 127.0.0.1:%u\n"
+               "drive it with: skc_cli client 127.0.0.1 %u%s\n",
+               what.c_str(), door.port(), door.port(), client_hint);
+  door.wait();
+  door.stop();
+  print_metrics(door);
+  return 0;
+}
+
+// `serve`: one ClusteringEngine (or, with --tenants, a TenantRegistry where
+// every stream id owns an independent namespace) behind the shared REPL, or
+// with --tcp <port> behind a TCP front door (drive it with `skc_cli
+// client`; port 0 picks an ephemeral port, printed to stderr).
+int cmd_serve(int argc, char** argv) {
+  NodeArgs a;
+  if (!parse_node_args(argc, argv, /*with_shards=*/true,
+                       {"--tcp", "--spill", "--max-resident", "--rate"},
+                       {"--tenants"}, a)) {
+    return usage();
+  }
+  bool tcp = false, tenants = false;
+  net::ServerOptions sopts;
+  tenant::TenantRegistryOptions topts;
+  topts.max_resident = 256;
+  for (const auto& [flag, value] : a.flags) {
+    if (flag == "--tcp") {
+      tcp = true;
+      if (!parse_port(value, 0, sopts.port)) return usage();
+    } else if (flag == "--tenants") {
+      tenants = true;
+    } else if (flag == "--spill") {
+      topts.spill_dir = value;
+    } else if (flag == "--max-resident") {
+      topts.max_resident = std::atoi(value.c_str());
+      if (topts.max_resident < 1) return usage();
+    } else if (flag == "--rate") {
+      topts.quotas.max_events_per_second = std::atof(value.c_str());
+      if (topts.quotas.max_events_per_second < 0) return usage();
+    }
+  }
+  if (tenants) {
+    topts.dim = a.dim;
+    topts.params = node_params(a);
+    topts.engine = node_engine_options(a);
+    tenant::TenantRegistry registry(topts);
+    tenant::TenantServer door(registry, sopts);
+    const std::string what = "tenant registry " + node_shape(a);
+    return tcp ? host_tcp(door, what, " --tenant <id>") : run_repl(door, what);
+  }
+
+  ClusteringEngine engine(a.dim, node_params(a), node_engine_options(a));
+  int rc = 0;
+  {
+    net::EngineServer door(engine, sopts);
+    const std::string what = "engine " + node_shape(a);
+    // Engine-only: restore a checkpoint written by `checkpoint <path>`.
+    const auto restore = [&](const std::string& cmd, std::istream& in) {
+      if (cmd != "restore") return false;
+      std::string path;
+      if (!(in >> path)) {
+        std::printf("err restore needs a path\n");
+      } else {
+        std::printf(engine.restore(path) ? "ok %s\n" : "err %s failed\n",
+                    path.c_str());
+      }
+      return true;
+    };
+    rc = tcp ? host_tcp(door, what, "") : run_repl(door, what, restore);
+  }
+  engine.shutdown();
+  return rc;
+}
+
+/// Connects `client` to `<host> <port>`: 0 when connected, the usage exit
+/// code for a bad port, 1 (reason on stderr) when the connect fails.
+int connect_client(net::SkcClient& client, const std::string& host,
+                   const std::string& port_text) {
+  std::uint16_t port = 0;
+  if (!parse_port(port_text, 1, port)) return usage();
+  if (client.connect(host, port)) return 0;
+  std::fprintf(stderr, "error: connect %s:%u: %s\n", host.c_str(), port,
+               client.last_error().c_str());
+  return 1;
+}
+
+/// The JSON-fetching RPCs, by command name: `trace-dump`, `cluster-trace`
+/// or `flight`.
+bool fetch_json(net::SkcClient& client, std::string_view what,
+                std::string& json) {
+  return what == "trace-dump"      ? client.trace_json(json)
+         : what == "cluster-trace" ? client.cluster_trace_json(json)
+                                   : client.flight_recorder_json(json);
+}
+
+// REPL against a remote front door — the network twin of run_repl,
+// speaking the same commands over SkcClient.  The point dimension lives
+// server-side, so insert/delete take however many coordinates appear on the
+// line (each must fit a Coord; the server checks dimension and [1, Delta]).
 int cmd_client(int argc, char** argv) {
   std::vector<const char*> pos;
   std::string tenant_id;
@@ -588,25 +623,19 @@ int cmd_client(int argc, char** argv) {
     }
   }
   if (pos.size() < 2) return usage();
-  const std::string host = pos[0];
-  const long port = std::atol(pos[1]);
-  if (port < 1 || port > 65535) return usage();
-
   net::SkcClient client;
   client.set_tenant(tenant_id);
-  if (!client.connect(host, static_cast<std::uint16_t>(port))) {
-    std::fprintf(stderr, "error: connect %s:%ld: %s\n", host.c_str(), port,
-                 client.last_error().c_str());
-    return 1;
+  if (const int rc = connect_client(client, pos[0], pos[1]); rc != 0) {
+    return rc;
   }
   std::fprintf(stderr,
-               "connected to %s:%ld (tenant '%s')\n"
+               "connected to %s:%s (tenant '%s')\n"
                "commands:  insert c1 c2 .. | delete c1 c2 .. | query [slack]\n"
                "           ping | metrics | prom | trace-dump [path]\n"
                "           cluster-trace [path] | flight [path]\n"
                "           tenant [id] | tenant-stats\n"
                "           checkpoint <path> | shutdown | quit\n",
-               host.c_str(), port, tenant_id.c_str());
+               pos[0], pos[1], tenant_id.c_str());
 
   std::string line;
   while (std::getline(std::cin, line)) {
@@ -614,107 +643,67 @@ int cmd_client(int argc, char** argv) {
     std::string cmd;
     if (!(in >> cmd) || cmd[0] == '#') continue;
     if (cmd == "quit" || cmd == "exit") break;
-    if (cmd == "insert" || cmd == "delete") {
-      std::vector<Coord> p;
-      for (long long c = 0; in >> c;) p.push_back(static_cast<Coord>(c));
-      const bool sent = cmd == "insert" ? client.insert(p) : client.erase(p);
-      if (sent) {
-        std::printf("ok\n");
+    std::string text;
+    // One RPC's outcome: `done` on success, the client's error otherwise.
+    const auto answer = [&](bool ok, const std::string& done) {
+      if (ok) {
+        std::printf("%s", done.c_str());
       } else {
         std::printf("err %s\n", client.last_error().c_str());
+      }
+    };
+    if (cmd == "insert" || cmd == "delete") {
+      std::vector<Coord> p;
+      if (!parse_point(in, cmd, /*dim=*/0, std::numeric_limits<Coord>::min(),
+                       std::numeric_limits<Coord>::max(), p, text)) {
+        std::printf("err %s\n", text.c_str());
+      } else {
+        answer(cmd == "insert" ? client.insert(p) : client.erase(p), "ok\n");
       }
     } else if (cmd == "query") {
       net::QueryRequest req;
       if (double slack = 0; in >> slack) req.capacity_slack = slack;
       net::QueryReply res;
-      if (!client.query(req, res)) {
-        std::printf("err %s\n", client.last_error().c_str());
-        continue;
-      }
-      if (!res.ok) {
-        std::printf("err %s\n", res.error.c_str());
-        continue;
-      }
-      std::printf("ok n=%lld summary=%llu capacity=%.0f cost=%.6g "
-                  "merge_ms=%.1f solve_ms=%.1f\n",
-                  static_cast<long long>(res.net_points),
-                  static_cast<unsigned long long>(res.summary_points),
-                  res.capacity, res.cost, res.merge_millis, res.solve_millis);
-      const std::size_t dim = static_cast<std::size_t>(res.dim);
-      for (std::size_t c = 0; dim > 0 && c + dim <= res.center_coords.size();
-           c += dim) {
-        std::printf("center");
-        for (std::size_t i = 0; i < dim; ++i) {
-          std::printf(" %d", res.center_coords[c + i]);
-        }
-        std::printf("\n");
+      if (client.query(req, res)) {
+        print_query(res);
+      } else {
+        answer(false, "");
       }
     } else if (cmd == "ping") {
-      if (client.ping()) {
-        std::printf("ok\n");
-      } else {
-        std::printf("err %s\n", client.last_error().c_str());
-      }
+      answer(client.ping(), "ok\n");
     } else if (cmd == "metrics") {
-      std::string json;
-      if (client.metrics_json(json)) {
-        std::printf("%s\n", json.c_str());
-      } else {
-        std::printf("err %s\n", client.last_error().c_str());
-      }
+      answer(client.metrics_json(text), text + "\n");
     } else if (cmd == "prom") {
-      std::string text;
-      if (client.prometheus_text(text)) {
-        std::printf("%s", text.c_str());
-      } else {
-        std::printf("err %s\n", client.last_error().c_str());
-      }
+      answer(client.prometheus_text(text), text);
     } else if (cmd == "tenant") {
       std::string id;
       in >> id;  // no argument = back to the default tenant
-      if (!id.empty() && !net::valid_tenant_id(id)) {
+      if (!net::valid_tenant_id(id)) {
         std::printf("err invalid tenant id '%s'\n", id.c_str());
-        continue;
-      }
-      client.set_tenant(id);
-      std::printf("ok tenant '%s'\n", id.c_str());
-    } else if (cmd == "tenant-stats") {
-      std::string json;
-      if (client.tenant_stats(json)) {
-        std::printf("%s\n", json.c_str());
       } else {
-        std::printf("err %s\n", client.last_error().c_str());
+        client.set_tenant(id);
+        std::printf("ok tenant '%s'\n", id.c_str());
       }
+    } else if (cmd == "tenant-stats") {
+      answer(client.tenant_stats(text), text + "\n");
     } else if (cmd == "trace-dump" || cmd == "cluster-trace" ||
                cmd == "flight") {
-      std::string path = "-";
-      in >> path;
-      std::string json;
-      const bool fetched = cmd == "trace-dump" ? client.trace_json(json)
-                           : cmd == "cluster-trace"
-                               ? client.cluster_trace_json(json)
-                               : client.flight_recorder_json(json);
-      if (!fetched) {
-        std::printf("err %s\n", client.last_error().c_str());
-      } else if (write_text_file(path, json)) {
-        if (path != "-") std::printf("ok %s\n", path.c_str());
+      if (fetch_json(client, cmd, text)) {
+        write_text_reply(in, text);
       } else {
-        std::printf("err cannot write %s\n", path.c_str());
+        answer(false, "");
       }
     } else if (cmd == "checkpoint") {
       std::string path;
       if (!(in >> path)) {
         std::printf("err checkpoint needs a server-side path\n");
-        continue;
+      } else {
+        std::printf(client.checkpoint(path) ? "ok %s\n" : "err %s failed\n",
+                    path.c_str());
       }
-      std::printf(client.checkpoint(path) ? "ok %s\n" : "err %s failed\n",
-                  path.c_str());
     } else if (cmd == "shutdown") {
-      if (client.shutdown_server()) {
-        std::printf("ok server draining\n");
-        break;
-      }
-      std::printf("err %s\n", client.last_error().c_str());
+      answer(client.shutdown_server(), "ok server draining\n");
+      if (client.last_status() == net::Status::kOk) break;
     } else {
       std::printf("err unknown command '%s'\n", cmd.c_str());
     }
@@ -724,212 +713,78 @@ int cmd_client(int argc, char** argv) {
 }
 
 // Cluster worker: one engine behind an EngineServer, configured exactly
-// like `skc_cli coordinator` configures itself (CoresetParams::practical
-// with eps = eta = 0.2 — the WORKER_HELLO fingerprint handshake refuses a
-// drifted pairing).  Prints "PORT <n>" on stdout so spawners (and humans)
-// learn the kernel-assigned port when started with --port 0.
+// like `skc_cli coordinator` configures itself (node_params — the
+// WORKER_HELLO fingerprint handshake refuses a drifted pairing).
 int cmd_worker(int argc, char** argv) {
-  std::vector<const char*> pos;
-  long port = 0;
-  for (int i = 2; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--port")) {
-      if (i + 1 >= argc) return usage();
-      port = std::atol(argv[++i]);
-      if (port < 0 || port > 65535) return usage();
-    } else if (!std::strcmp(argv[i], "--trace")) {
-      obs::Tracer::instance().set_enabled(true);
-    } else if (!std::strcmp(argv[i], "--slow-ms")) {
-      if (i + 1 >= argc) return usage();
-      const double threshold = std::atof(argv[++i]);
-      if (threshold < 0) return usage();
-      obs::FlightRecorder::instance().set_threshold_millis(threshold);
-    } else {
-      pos.push_back(argv[i]);
-    }
+  NodeArgs a;
+  if (!parse_node_args(argc, argv, /*with_shards=*/true, {"--port"}, {}, a)) {
+    return usage();
   }
-  if (pos.size() < 2) return usage();
-  const int dim = std::atoi(pos[0]);
-  const int k = std::atoi(pos[1]);
-  const int shards = pos.size() >= 3 ? std::atoi(pos[2]) : 4;
-  const int log_delta = pos.size() >= 4 ? std::atoi(pos[3]) : 12;
-  if (dim < 1 || k < 1 || shards < 1 || log_delta < 2) return usage();
-
-  const CoresetParams params = CoresetParams::practical(k, LrOrder{2.0}, 0.2, 0.2);
-  EngineOptions opts;
-  opts.num_shards = shards;
-  opts.streaming.log_delta = log_delta;
-  ClusteringEngine engine(dim, params, opts);
-
   net::ServerOptions sopts;
-  sopts.port = static_cast<std::uint16_t>(port);
-  net::EngineServer server(engine, sopts);
-  std::string error;
-  if (!server.start(error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 1;
+  for (const auto& [flag, value] : a.flags) {
+    if (!parse_port(value, 0, sopts.port)) return usage();
   }
-  std::printf("PORT %u\n", server.port());
-  std::fflush(stdout);
-  std::fprintf(stderr,
-               "worker listening on 127.0.0.1:%u (dim=%d k=%d shards=%d "
-               "log_delta=%d)\n",
-               server.port(), dim, k, shards, log_delta);
-  server.wait();
-  server.stop();
+  ClusteringEngine engine(a.dim, node_params(a), node_engine_options(a));
+  int rc = 0;
+  {
+    net::EngineServer door(engine, sopts);
+    rc = host_tcp(door, "worker " + node_shape(a), "");
+  }
   engine.shutdown();
-  return 0;
+  return rc;
 }
 
 // Cluster coordinator: dials the given workers, serves the same wire
-// protocol on its own TCP port (drive it with `skc_cli client`), and offers
-// the serve-style REPL locally.
+// protocol on its own TCP port (drive it with `skc_cli client`), and runs
+// the shared REPL locally.
 int cmd_coordinator(int argc, char** argv) {
-  std::vector<const char*> pos;
+  NodeArgs a;
+  if (!parse_node_args(argc, argv, /*with_shards=*/false,
+                       {"--worker", "--tcp"}, {"--compose"}, a)) {
+    return usage();
+  }
   cluster::CoordinatorOptions copts;
-  long tcp_port = 0;
-  for (int i = 2; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--worker")) {
-      if (i + 1 >= argc) return usage();
-      const std::string spec = argv[++i];
-      const std::size_t colon = spec.rfind(':');
+  for (const auto& [flag, value] : a.flags) {
+    if (flag == "--worker") {
+      const std::size_t colon = value.rfind(':');
       if (colon == std::string::npos) {
         std::fprintf(stderr, "error: --worker needs host:port, got %s\n",
-                     spec.c_str());
+                     value.c_str());
         return 2;
       }
-      const long port = std::atol(spec.c_str() + colon + 1);
-      if (port < 1 || port > 65535) return usage();
-      copts.workers.push_back(
-          {spec.substr(0, colon), static_cast<std::uint16_t>(port)});
-    } else if (!std::strcmp(argv[i], "--tcp")) {
-      if (i + 1 >= argc) return usage();
-      tcp_port = std::atol(argv[++i]);
-      if (tcp_port < 0 || tcp_port > 65535) return usage();
-    } else if (!std::strcmp(argv[i], "--compose")) {
+      cluster::WorkerAddress w{value.substr(0, colon), 0};
+      if (!parse_port(value.substr(colon + 1), 1, w.port)) return usage();
+      copts.workers.push_back(std::move(w));
+    } else if (flag == "--tcp") {
+      if (!parse_port(value, 0, copts.server.port)) return usage();
+    } else if (flag == "--compose") {
       copts.merge_mode = MergeMode::kCompose;
-    } else if (!std::strcmp(argv[i], "--trace")) {
-      obs::Tracer::instance().set_enabled(true);
-    } else if (!std::strcmp(argv[i], "--slow-ms")) {
-      if (i + 1 >= argc) return usage();
-      const double threshold = std::atof(argv[++i]);
-      if (threshold < 0) return usage();
-      obs::FlightRecorder::instance().set_threshold_millis(threshold);
-    } else {
-      pos.push_back(argv[i]);
     }
   }
-  if (pos.size() < 2 || copts.workers.empty()) return usage();
-  const int dim = std::atoi(pos[0]);
-  const int k = std::atoi(pos[1]);
-  const int log_delta = pos.size() >= 3 ? std::atoi(pos[2]) : 12;
-  if (dim < 1 || k < 1 || log_delta < 2) return usage();
-
-  copts.dim = dim;
-  copts.params = CoresetParams::practical(k, LrOrder{2.0}, 0.2, 0.2);
-  copts.streaming.log_delta = log_delta;
-  copts.server.port = static_cast<std::uint16_t>(tcp_port);
+  if (copts.workers.empty()) return usage();
+  copts.dim = a.dim;
+  copts.params = node_params(a);
+  copts.streaming.log_delta = a.log_delta;
 
   cluster::ClusterCoordinator coordinator(copts);
   std::string error;
-  if (!coordinator.connect(error)) {
+  if (!coordinator.connect(error) || !coordinator.start(error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
-  if (!coordinator.start(error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    return 1;
-  }
-  std::fprintf(stderr,
-               "coordinator on 127.0.0.1:%u over %d worker(s)\n"
-               "commands:  insert c1 .. c%d | delete c1 .. c%d | "
-               "query [slack]\n"
-               "           flush | metrics | prom | cluster-trace [path] | "
-               "flight [path]\n"
-               "           checkpoint | shutdown-workers | quit\n",
-               coordinator.port(), coordinator.workers(), dim, dim);
-
-  const long long max_coord = 1LL << log_delta;
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    std::istringstream in(line);
-    std::string cmd;
-    if (!(in >> cmd) || cmd[0] == '#') continue;
-    if (cmd == "quit" || cmd == "exit") break;
-    if (cmd == "insert" || cmd == "delete") {
-      std::vector<Coord> p(static_cast<std::size_t>(dim));
-      bool ok = true;
-      for (int i = 0; i < dim; ++i) {
-        long long c = 0;
-        if (!(in >> c) || c < 1 || c > max_coord) {
-          ok = false;
-          break;
-        }
-        p[static_cast<std::size_t>(i)] = static_cast<Coord>(c);
-      }
-      if (!ok) {
-        std::printf("err %s needs %d coordinates in [1, %lld]\n", cmd.c_str(),
-                    dim, max_coord);
-        continue;
-      }
-      const bool sent =
-          cmd == "insert" ? coordinator.insert(p) : coordinator.erase(p);
-      std::printf(sent ? "ok\n" : "err cluster rejected the event\n");
-    } else if (cmd == "query") {
-      EngineQuery q;
-      if (double slack = 0; in >> slack) q.capacity_slack = slack;
-      const EngineQueryResult res = coordinator.query(q);
-      if (!res.ok) {
-        std::printf("err %s\n", res.error.c_str());
-        continue;
-      }
-      std::printf("ok n=%lld summary=%lld capacity=%.0f cost=%.6g "
-                  "merge_ms=%.1f solve_ms=%.1f\n",
-                  static_cast<long long>(res.net_points),
-                  static_cast<long long>(res.summary.points.size()),
-                  res.capacity, res.solution.cost, res.merge_millis,
-                  res.solve_millis);
-      for (PointIndex c = 0; c < res.solution.centers.size(); ++c) {
-        std::printf("center %s\n", to_string(res.solution.centers[c]).c_str());
-      }
-    } else if (cmd == "flush") {
-      coordinator.flush();
-      std::printf("ok\n");
-    } else if (cmd == "metrics") {
-      std::printf("%s\n", cluster::cluster_metrics_json(coordinator.metrics()).c_str());
-    } else if (cmd == "prom") {
-      std::printf("%s",
-                  cluster::cluster_prometheus_text(coordinator.metrics()).c_str());
-    } else if (cmd == "cluster-trace") {
-      std::string path = "-";
-      in >> path;
-      if (write_text_file(path, coordinator.cluster_trace_json())) {
-        if (path != "-") std::printf("ok %s\n", path.c_str());
-      } else {
-        std::printf("err cannot write %s\n", path.c_str());
-      }
-    } else if (cmd == "flight") {
-      std::string path = "-";
-      in >> path;
-      if (write_text_file(path, obs::FlightRecorder::instance().dump_json())) {
-        if (path != "-") std::printf("ok %s\n", path.c_str());
-      } else {
-        std::printf("err cannot write %s\n", path.c_str());
-      }
-    } else if (cmd == "checkpoint") {
-      std::printf(coordinator.checkpoint_members() ? "ok\n"
-                                                   : "err a member failed\n");
-    } else if (cmd == "shutdown-workers") {
-      coordinator.shutdown_workers();
-      std::printf("ok\n");
-    } else {
-      std::printf("err unknown command '%s'\n", cmd.c_str());
-    }
-    std::fflush(stdout);
-  }
+  char banner[128];
+  std::snprintf(banner, sizeof(banner),
+                "coordinator on 127.0.0.1:%u over %d worker(s)",
+                coordinator.port(), coordinator.workers());
+  const auto shutdown_workers = [&](const std::string& cmd, std::istream&) {
+    if (cmd != "shutdown-workers") return false;
+    coordinator.shutdown_workers();
+    std::printf("ok\n");
+    return true;
+  };
+  const int rc = run_repl(coordinator, banner, shutdown_workers);
   coordinator.stop();
-  std::fprintf(stderr, "%s\n",
-               cluster::cluster_metrics_json(coordinator.metrics()).c_str());
-  return 0;
+  return rc;
 }
 
 // One-shot TRACE_DUMP / CLUSTER_TRACE_DUMP RPC: fetch the server's span
@@ -937,27 +792,15 @@ int cmd_coordinator(int argc, char** argv) {
 // load the result at chrome://tracing or https://ui.perfetto.dev.  The
 // cluster variant asks a coordinator for the fleet-merged timeline: every
 // worker's ring pulled, clock-offset corrected, one process lane per node.
-enum class Fetch { kTrace, kClusterTrace, kFlight };
-
-int cmd_trace_dump(int argc, char** argv, Fetch what) {
+int cmd_trace_dump(int argc, char** argv) {
   if (argc < 4) return usage();
-  const std::string host = argv[2];
-  const long port = std::atol(argv[3]);
-  if (port < 1 || port > 65535) return usage();
-  const std::string path = argc >= 5 ? argv[4] : "-";
-
   net::SkcClient client;
-  if (!client.connect(host, static_cast<std::uint16_t>(port))) {
-    std::fprintf(stderr, "error: connect %s:%ld: %s\n", host.c_str(), port,
-                 client.last_error().c_str());
-    return 1;
+  if (const int rc = connect_client(client, argv[2], argv[3]); rc != 0) {
+    return rc;
   }
+  const std::string path = argc >= 5 ? argv[4] : "-";
   std::string json;
-  const bool fetched = what == Fetch::kTrace ? client.trace_json(json)
-                       : what == Fetch::kClusterTrace
-                           ? client.cluster_trace_json(json)
-                           : client.flight_recorder_json(json);
-  if (!fetched) {
+  if (!fetch_json(client, argv[1], json)) {
     std::fprintf(stderr, "error: %s\n", client.last_error().c_str());
     return 1;
   }
@@ -976,14 +819,10 @@ int main(int argc, char** argv) {
   if (!std::strcmp(argv[1], "worker")) return cmd_worker(argc, argv);
   if (!std::strcmp(argv[1], "coordinator")) return cmd_coordinator(argc, argv);
   if (!std::strcmp(argv[1], "client")) return cmd_client(argc, argv);
-  if (!std::strcmp(argv[1], "trace-dump")) {
-    return cmd_trace_dump(argc, argv, Fetch::kTrace);
-  }
-  if (!std::strcmp(argv[1], "cluster-trace")) {
-    return cmd_trace_dump(argc, argv, Fetch::kClusterTrace);
-  }
-  if (!std::strcmp(argv[1], "flight")) {
-    return cmd_trace_dump(argc, argv, Fetch::kFlight);
+  if (!std::strcmp(argv[1], "trace-dump") ||
+      !std::strcmp(argv[1], "cluster-trace") ||
+      !std::strcmp(argv[1], "flight")) {
+    return cmd_trace_dump(argc, argv);
   }
   return usage();
 }

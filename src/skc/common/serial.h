@@ -90,4 +90,22 @@ inline bool get_string(std::istream& in, std::string& s) {
   return static_cast<bool>(in);
 }
 
+/// Pointers to a map's entries, as canonical_order() fills them.
+template <typename Map>
+using EntryOrder = std::vector<const typename Map::value_type*>;
+
+/// Fills `out` with the map's entries in ascending key order.  Saving
+/// through this order makes equal maps serialize to equal bytes whatever
+/// insertion history shaped a hash map's iteration order (save -> load ->
+/// save is stable).  `out` is caller-owned so a loop over many small maps
+/// reuses one buffer.
+template <typename Map>
+void canonical_order(const Map& map, EntryOrder<Map>& out) {
+  out.clear();
+  for (const auto& entry : map) out.push_back(&entry);
+  if (out.size() < 2) return;
+  std::sort(out.begin(), out.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+}
+
 }  // namespace skc::serial

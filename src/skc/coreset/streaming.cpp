@@ -35,6 +35,14 @@ StreamingCoresetBuilder::StreamingCoresetBuilder(int dim, const CoresetParams& p
                     : max_opt_guess(options.max_points, dim, L, params.r);
   SKC_CHECK(o_lo <= o_hi);
 
+  CellCountMinConfig cm;
+  cm.width = options.countmin_width;
+  cm.depth = options.countmin_depth;
+  cm.exact = options.exact_storing;
+  PointStoreConfig ps;
+  ps.watermark = options.point_watermark;
+  ps.max_live_points = options.max_live_points;
+  ps.exact = options.exact_storing;
   int guess_index = 0;
   for (double o = o_lo; o <= o_hi * params.guess_factor; o *= params.guess_factor) {
     GuessState guess;
@@ -43,37 +51,16 @@ StreamingCoresetBuilder::StreamingCoresetBuilder(int dim, const CoresetParams& p
     guess.samples.reserve(static_cast<std::size_t>(L + 1));
     for (int i = 0; i <= L; ++i) {
       const double ti = part_threshold(grid_, params.partition(), i, o);
-      guess.psi.push_back(rate_or_one(options.counting_samples / std::max(ti, 1.0)));
-      guess.phi.push_back(
-          SamplingRate::from_probability(params.sampling_probability(grid_, i, o)));
-      CellCountMinConfig cm;
-      cm.width = options.countmin_width;
-      cm.depth = options.countmin_depth;
-      cm.exact = options.exact_storing;
-      cm.sampled = options.sampled_countmin;
-      guess.counts.emplace_back(
-          grid_, i, cm, sketch_seed(params, guess_index, SamplerPurpose::kCounting, i));
-      // Point stores are deduplicated by (level, phi.m): guesses with the
-      // same rounded sampling rate at a level would build byte-identical
-      // structures from byte-identical substreams (see SharedStore).
-      SharedStore* shared = nullptr;
-      for (auto& pooled : store_pool_) {
-        if (pooled->level == i && pooled->phi.m == guess.phi.back().m) {
-          shared = pooled.get();
-          break;
-        }
-      }
-      if (shared == nullptr) {
-        PointStoreConfig ps;
-        ps.watermark = options.point_watermark;
-        ps.max_live_points = options.max_live_points;
-        ps.exact = options.exact_storing;
-        store_pool_.push_back(
-            std::make_unique<SharedStore>(i, guess.phi.back(), grid_, ps));
-        shared = store_pool_.back().get();
-      }
-      ++shared->refs;
-      guess.samples.push_back(shared);
+      const SamplingRate psi =
+          rate_or_one(options.counting_samples / std::max(ti, 1.0));
+      const SamplingRate phi =
+          SamplingRate::from_probability(params.sampling_probability(grid_, i, o));
+      // The first guess to ask for a (level, psi.m) CountMin seeds it; later
+      // guesses with the same rate read that sketch (DESIGN.md §12).
+      guess.counts.push_back(count_pool_.acquire(
+          i, psi, grid_, i, cm,
+          sketch_seed(params, guess_index, SamplerPurpose::kCounting, i)));
+      guess.samples.push_back(store_pool_.acquire(i, phi, grid_, i, ps));
     }
     guesses_.push_back(std::move(guess));
     ++guess_index;
@@ -86,13 +73,6 @@ StreamingCoresetBuilder::StreamingCoresetBuilder(int dim, const CoresetParams& p
   }
   h_count_scratch_.resize(static_cast<std::size_t>(L + 1));
   h_core_scratch_.resize(static_cast<std::size_t>(L + 1));
-}
-
-void StreamingCoresetBuilder::set_countmin_sample_skip(std::uint32_t m) {
-  for (GuessState& guess : guesses_) {
-    if (guess.pruned) continue;
-    for (CellCountMin& cm : guess.counts) cm.set_sample_skip(m);
-  }
 }
 
 namespace {
@@ -123,18 +103,17 @@ void StreamingCoresetBuilder::update(std::span<const Coord> p, std::int64_t delt
     }
   }
   SKC_TRACE_SPAN("sketch");
-  for (GuessState& guess : guesses_) {
-    if (guess.pruned) continue;
-    for (int i = 0; i <= L; ++i) {
-      const std::size_t li = static_cast<std::size_t>(i);
-      if (keep_event(h_count[li], guess.psi[li])) guess.counts[li].update(p, delta);
+  for (auto& entry : count_pool_) {
+    if (entry->refs > 0 &&
+        keep_event(h_count[static_cast<std::size_t>(entry->level)], entry->rate)) {
+      entry->sketch.update(p, delta);
     }
   }
-  for (auto& shared : store_pool_) {
-    if (shared->refs == 0) continue;
-    if (keep_event(h_core[static_cast<std::size_t>(shared->level)], shared->phi) &&
-        !shared->store.dead()) {
-      shared->store.update(p, delta);
+  for (auto& entry : store_pool_) {
+    if (entry->refs > 0 &&
+        keep_event(h_core[static_cast<std::size_t>(entry->level)], entry->rate) &&
+        !entry->sketch.dead()) {
+      entry->sketch.update(p, delta);
     }
   }
   for (DistinctCells& dc : distinct_) dc.update(p, delta);
@@ -186,36 +165,38 @@ void StreamingCoresetBuilder::update_batch(std::span<const StreamEvent> events) 
 
   {
     SKC_TRACE_SPAN("sketch");
-    for (GuessState& guess : guesses_) {
-      if (guess.pruned) continue;
-      for (std::size_t i = 0; i < levels; ++i) {
-        const std::uint64_t* hc = batch_h_count_.data() + i * B;
-        const std::int32_t* idx = batch_idx_.data() + i * B * dim;
-        // Counting substream: gather the psi-kept rows, then land them in
-        // one contiguous sweep per sketch row.
-        std::size_t nsel = 0;
-        for (std::size_t b = 0; b < B; ++b) {
-          if (!keep_event(hc[b], guess.psi[i])) continue;
-          std::copy(idx + b * dim, idx + (b + 1) * dim,
-                    sel_idx_.begin() + static_cast<std::ptrdiff_t>(nsel * dim));
-          sel_delta_[nsel] = batch_delta_[b];
-          ++nsel;
-        }
-        if (nsel > 0) {
-          guess.counts[i].update_cells(sel_idx_.data(), sel_delta_.data(), nsel);
-        }
+    // Counting substream, once per pooled (level, psi.m) CountMin: gather
+    // the psi-kept rows, then land them in one contiguous sweep per sketch
+    // row.  A rate-1 sketch takes the level's rows as they are.
+    for (auto& entry : count_pool_) {
+      if (entry->refs == 0) continue;
+      const auto i = static_cast<std::size_t>(entry->level);
+      const std::int32_t* idx = batch_idx_.data() + i * B * dim;
+      if (entry->rate.always()) {
+        entry->sketch.update_cells(idx, batch_delta_.data(), B);
+        continue;
       }
+      const std::uint64_t* hc = batch_h_count_.data() + i * B;
+      std::size_t nsel = 0;
+      for (std::size_t b = 0; b < B; ++b) {
+        if (!keep_event(hc[b], entry->rate)) continue;
+        std::copy(idx + b * dim, idx + (b + 1) * dim,
+                  sel_idx_.begin() + static_cast<std::ptrdiff_t>(nsel * dim));
+        sel_delta_[nsel] = batch_delta_[b];
+        ++nsel;
+      }
+      if (nsel > 0) entry->sketch.update_cells(sel_idx_.data(), sel_delta_.data(), nsel);
     }
-    // Coreset substream, once per deduplicated (level, phi.m) store: the
-    // point store also needs the points themselves (it carries the samples).
-    for (auto& shared : store_pool_) {
-      if (shared->refs == 0 || shared->store.dead()) continue;
-      const auto i = static_cast<std::size_t>(shared->level);
+    // Coreset substream, once per pooled (level, phi.m) store: the point
+    // store also needs the points themselves (it carries the samples).
+    for (auto& entry : store_pool_) {
+      if (entry->refs == 0 || entry->sketch.dead()) continue;
+      const auto i = static_cast<std::size_t>(entry->level);
       const std::uint64_t* hs = batch_h_core_.data() + i * B;
       const std::int32_t* idx = batch_idx_.data() + i * B * dim;
       std::size_t nsel = 0;
       for (std::size_t b = 0; b < B; ++b) {
-        if (!keep_event(hs[b], shared->phi)) continue;
+        if (!keep_event(hs[b], entry->rate)) continue;
         std::copy(idx + b * dim, idx + (b + 1) * dim,
                   sel_idx_.begin() + static_cast<std::ptrdiff_t>(nsel * dim));
         std::copy(batch_pts_.begin() + static_cast<std::ptrdiff_t>(b * dim),
@@ -225,7 +206,7 @@ void StreamingCoresetBuilder::update_batch(std::span<const StreamEvent> events) 
         ++nsel;
       }
       if (nsel > 0) {
-        shared->store.update_batch(sel_pts_.data(), sel_idx_.data(),
+        entry->sketch.update_batch(sel_pts_.data(), sel_idx_.data(),
                                    sel_delta_.data(), nsel);
       }
     }
@@ -253,12 +234,14 @@ void StreamingCoresetBuilder::maybe_prune() {
   if (lb <= 0.0) return;
   for (GuessState& guess : guesses_) {
     if (guess.pruned || guess.o * options_.prune_slack >= lb) continue;
-    guess.pruned = true;
-    for (CellCountMin& cm : guess.counts) cm.release();
-    for (SharedStore* shared : guess.samples) {
-      if (--shared->refs == 0) shared->store.release();
-    }
+    prune_guess(guess);
   }
+}
+
+void StreamingCoresetBuilder::prune_guess(GuessState& guess) {
+  guess.pruned = true;
+  for (CountPool::Entry* entry : guess.counts) CountPool::unref(entry);
+  for (StorePool::Entry* entry : guess.samples) StorePool::unref(entry);
 }
 
 void StreamingCoresetBuilder::merge_from(const StreamingCoresetBuilder& other) {
@@ -268,36 +251,15 @@ void StreamingCoresetBuilder::merge_from(const StreamingCoresetBuilder& other) {
   SKC_CHECK(other.options_.exact_storing == options_.exact_storing);
   SKC_CHECK(other.guesses_.size() == guesses_.size());
   SKC_CHECK(other.distinct_.size() == distinct_.size());
-  SKC_CHECK(other.store_pool_.size() == store_pool_.size());
-  // Pass 1: propagate pruned flags and merge the per-guess CountMins.  Store
-  // refcounts drop as guesses prune, so the pool merge below sees final refs.
+  // Propagate pruned flags first: pool refcounts drop as guesses prune, so
+  // the pool merges below see final refs and merge each live entry once.
   for (std::size_t g = 0; g < guesses_.size(); ++g) {
     GuessState& mine = guesses_[g];
-    const GuessState& theirs = other.guesses_[g];
-    SKC_CHECK(mine.o == theirs.o);
-    if (mine.pruned) continue;
-    if (theirs.pruned) {
-      mine.pruned = true;
-      for (CellCountMin& cm : mine.counts) cm.release();
-      for (SharedStore* shared : mine.samples) {
-        if (--shared->refs == 0) shared->store.release();
-      }
-      continue;
-    }
-    for (std::size_t i = 0; i < mine.counts.size(); ++i) {
-      mine.counts[i].merge(theirs.counts[i]);
-    }
+    SKC_CHECK(mine.o == other.guesses_[g].o);
+    if (!mine.pruned && other.guesses_[g].pruned) prune_guess(mine);
   }
-  // Pass 2: merge the deduplicated stores once each.  Identical options give
-  // identical pools in identical order; a live store here implies at least
-  // one unpruned guess referencing it, which (post pass 1) implies the same
-  // guess is unpruned on the other side, so the peer store is live too.
-  for (std::size_t s = 0; s < store_pool_.size(); ++s) {
-    SKC_CHECK(store_pool_[s]->level == other.store_pool_[s]->level);
-    SKC_CHECK(store_pool_[s]->phi.m == other.store_pool_[s]->phi.m);
-    if (store_pool_[s]->refs == 0) continue;
-    store_pool_[s]->store.merge(other.store_pool_[s]->store);
-  }
+  count_pool_.merge_from(other.count_pool_);
+  store_pool_.merge_from(other.store_pool_);
   for (std::size_t i = 0; i < distinct_.size(); ++i) {
     distinct_[i].merge(other.distinct_[i]);
   }
@@ -361,9 +323,11 @@ StreamingResult StreamingCoresetBuilder::finalize() const {
 
     for (int i = 0; i <= L && !failed; ++i) {
       const std::size_t li = static_cast<std::size_t>(i);
-      const double inv_psi = guess.psi[li].weight();
+      const CellCountMin& counts = guess.counts[li]->sketch;
+      const CellPointStore& samples = guess.samples[li]->sketch;
+      const double inv_psi = guess.counts[li]->rate.weight();
       const double ti = part_threshold(grid_, params_.partition(), i, guess.o);
-      if (guess.samples[li]->store.dead()) {
+      if (samples.dead()) {
         failed = true;
         reason = "sample store saturated";
         break;
@@ -371,7 +335,7 @@ StreamingResult StreamingCoresetBuilder::finalize() const {
       std::vector<CellKey> heavy_here;
       for (const CellKey& parent : heavy_prev) {
         for (CellKey& child : grid_.children(parent)) {
-          const double tau = guess.counts[li].query(child) * inv_psi;
+          const double tau = counts.query(child) * inv_psi;
           if (tau <= 0.0) continue;
           if (i < L) {
             data.counting[li].push_back(EstimatedCell{child.index, tau});
@@ -382,7 +346,7 @@ StreamingResult StreamingCoresetBuilder::finalize() const {
             // Crucial candidate: its mass feeds the part estimates and its
             // sampled points feed the coreset.
             data.part_mass[li].push_back(EstimatedCell{child.index, tau});
-            const auto cp = guess.samples[li]->store.cell(child);
+            const auto cp = samples.cell(child);
             if (cp && cp->complete) {
               data.sample_points[li].append(cp->points);
             } else if (cp && !cp->complete) {
@@ -426,13 +390,7 @@ StreamingResult StreamingCoresetBuilder::finalize() const {
 }
 
 std::size_t StreamingCoresetBuilder::memory_bytes() const {
-  std::size_t total = 0;
-  for (const GuessState& guess : guesses_) {
-    for (const CellCountMin& s : guess.counts) total += s.memory_bytes();
-  }
-  // Shared stores are physical memory once, no matter how many guesses
-  // reference them.
-  for (const auto& shared : store_pool_) total += shared->store.memory_bytes();
+  std::size_t total = count_pool_.memory_bytes() + store_pool_.memory_bytes();
   for (const DistinctCells& dc : distinct_) total += dc.memory_bytes();
   return total;
 }
@@ -440,15 +398,17 @@ std::size_t StreamingCoresetBuilder::memory_bytes() const {
 std::size_t StreamingCoresetBuilder::memory_bytes_per_guess() const {
   // Report the largest live guess (pruned guesses hold no memory and would
   // understate the per-guess footprint).  A guess is charged its referenced
-  // stores in full — the logical per-guess footprint Theorem 4.5 bounds,
-  // even though sharing makes the physical sum smaller.
+  // sketches and stores in full — the logical per-guess footprint Theorem
+  // 4.5 bounds, even though sharing makes the physical sum smaller.
   std::size_t best = 0;
   for (const GuessState& guess : guesses_) {
     if (guess.pruned) continue;
     std::size_t total = 0;
-    for (const CellCountMin& s : guess.counts) total += s.memory_bytes();
-    for (const SharedStore* shared : guess.samples) {
-      total += shared->store.memory_bytes();
+    for (const CountPool::Entry* entry : guess.counts) {
+      total += entry->sketch.memory_bytes();
+    }
+    for (const StorePool::Entry* entry : guess.samples) {
+      total += entry->sketch.memory_bytes();
     }
     best = std::max(best, total);
   }
@@ -456,9 +416,9 @@ std::size_t StreamingCoresetBuilder::memory_bytes_per_guess() const {
 }
 
 namespace {
-// Bumped STRM1 -> STRM2 when point stores moved into the deduplicated pool
-// (serialized once each instead of per guess).
-constexpr std::uint64_t kCheckpointMagic = 0x534b435354524d32ULL;  // "SKCSTRM2"
+// STRM1 -> STRM2 when point stores moved into a pool (serialized once each
+// instead of per guess); STRM2 -> STRM3 when the CountMins followed.
+constexpr std::uint64_t kCheckpointMagic = 0x534b435354524d33ULL;  // "SKCSTRM3"
 }
 
 void StreamingCoresetBuilder::save(std::ostream& out) const {
@@ -471,19 +431,18 @@ void StreamingCoresetBuilder::save(std::ostream& out) const {
   serial::put<std::int64_t>(out, events_);
   for (const GuessState& guess : guesses_) {
     serial::put<std::uint8_t>(out, guess.pruned ? 1 : 0);
-    for (const CellCountMin& cm : guess.counts) cm.save(out);
   }
-  // Pool stores once each, in pool order (deterministic given options, so a
-  // same-configured loader rebuilds the identical pool to read into).
-  serial::put<std::uint64_t>(out, store_pool_.size());
-  for (const auto& shared : store_pool_) shared->store.save(out);
+  // Pool entries once each, in pool order (deterministic given options, so
+  // a same-configured loader rebuilds the identical pools to read into).
+  count_pool_.save(out);
+  store_pool_.save(out);
   for (const DistinctCells& dc : distinct_) dc.save(out);
 }
 
 bool StreamingCoresetBuilder::load(std::istream& in) {
   std::uint64_t magic = 0;
   std::int32_t dim = 0, log_delta = 0;
-  std::uint64_t seed = 0, nguesses = 0, nstores = 0;
+  std::uint64_t seed = 0, nguesses = 0;
   if (!serial::get(in, magic) || magic != kCheckpointMagic) return false;
   if (!serial::get(in, dim) || dim != dim_) return false;
   if (!serial::get(in, log_delta) || log_delta != options_.log_delta) return false;
@@ -495,19 +454,15 @@ bool StreamingCoresetBuilder::load(std::istream& in) {
     std::uint8_t pruned = 0;
     if (!serial::get(in, pruned)) return false;
     guess.pruned = pruned != 0;
-    for (CellCountMin& cm : guess.counts) {
-      if (!cm.load(in)) return false;
-    }
   }
-  if (!serial::get(in, nstores) || nstores != store_pool_.size()) return false;
-  for (auto& shared : store_pool_) {
-    if (!shared->store.load(in)) return false;
-  }
-  // Refcounts are derived state: recompute from the loaded pruned flags.
-  for (auto& shared : store_pool_) shared->refs = 0;
+  if (!count_pool_.load(in) || !store_pool_.load(in)) return false;
+  // Refcounts are derived state: recompute them from the loaded pruned flags.
+  count_pool_.clear_refs();
+  store_pool_.clear_refs();
   for (const GuessState& guess : guesses_) {
     if (guess.pruned) continue;
-    for (SharedStore* shared : guess.samples) ++shared->refs;
+    for (CountPool::Entry* entry : guess.counts) ++entry->refs;
+    for (StorePool::Entry* entry : guess.samples) ++entry->refs;
   }
   for (DistinctCells& dc : distinct_) {
     if (!dc.load(in)) return false;

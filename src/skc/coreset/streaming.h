@@ -15,6 +15,10 @@
 //     coreset-sampling rate) — per-cell point maps with provably-heavy
 //     eviction carrying the actual coreset samples.
 //
+// Guesses with the same rounded rate at a level feed identical substreams,
+// so both kinds are pooled: one physical structure per (level, rate), shared
+// by refcount (sketch_pool.h).
+//
 // finalize() walks each guess top-down: the root is heavy, heavy candidates
 // are the 2^d children of heavy cells (heaviness needs a heavy ancestry, so
 // nothing else can qualify), crucial cells are the non-heavy children, and
@@ -30,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,6 +42,7 @@
 #include "skc/coreset/coreset.h"
 #include "skc/coreset/params.h"
 #include "skc/coreset/sampling.h"
+#include "skc/coreset/sketch_pool.h"
 #include "skc/geometry/point_set.h"
 #include "skc/grid/hierarchical_grid.h"
 #include "skc/sketch/countmin.h"
@@ -84,15 +88,6 @@ struct StreamingOptions {
   /// prunes.  0 disables.
   std::int64_t prune_interval = 4096;
   double prune_slack = 100.0;
-
-  /// NitroSketch-style sampled CountMin updates (flag-gated, OFF by
-  /// default): each kept counting-substream event updates one sampled
-  /// sketch row with a compensating depth x increment instead of all rows,
-  /// and the engine may raise the skip factor under queue pressure
-  /// (set_countmin_sample_skip).  Cuts per-event sketch cost ~depth x at the
-  /// price of statistical (two-sided) count estimates; ignored in exact
-  /// mode.  See DESIGN.md §12.
-  bool sampled_countmin = false;
 };
 
 struct StreamingResult {
@@ -114,9 +109,9 @@ class StreamingCoresetBuilder {
   /// Batched ingest: drains a whole event batch level-by-level instead of
   /// point-by-point.  Per batch, the shared per-level substream hashes and
   /// cell indices are evaluated ONCE over all events (SoA Horner batches in
-  /// src/skc/hash/), then every guess consumes precomputed rows — the
-  /// pointwise path instead recomputes the cell index inside every sketch
-  /// structure it touches.  The result is bit-identical to feeding the same
+  /// src/skc/hash/), then every pooled structure consumes precomputed rows
+  /// — the pointwise path instead recomputes the cell index inside every
+  /// sketch structure it touches.  The result is bit-identical to feeding the same
   /// events through update() in order (every per-structure event sequence
   /// is preserved; this is a pure reorganization of the same field ops),
   /// with one scheduling exception: mid-stream pruning fires at batch
@@ -125,12 +120,6 @@ class StreamingCoresetBuilder {
 
   /// Feeds a whole stream (batched).
   void consume(const Stream& stream);
-
-  /// Sampled-countmin mode only (StreamingOptions::sampled_countmin):
-  /// forwards the skip factor m to every live CountMin; 1 = sample every
-  /// kept event onto one row, m > 1 = land ~1/m of them with m-scaled
-  /// compensation.  The engine adapts m to its queue depth.
-  void set_countmin_sample_skip(std::uint32_t m);
 
   /// Linear-sketch merge: folds another builder constructed with IDENTICAL
   /// (dim, params, options) into this one (checked).  Because every
@@ -167,35 +156,18 @@ class StreamingCoresetBuilder {
   bool load(std::istream& in);
 
  private:
-  /// One physical CellPointStore shared by every guess with the same
-  /// (level, phi.m).  The store has no per-guess randomness (no seed), and
-  /// the hat-h substream keep predicate `h_core[level] < p / m` depends only
-  /// on the shared per-level hash and the rounded rate m — so all guesses
-  /// with equal (level, m) would feed byte-identical event sequences into
-  /// byte-identical structures.  Deduplicating them is a pure win: the
-  /// profile shows the per-guess copies dominating ingest (hash-map walks),
-  /// and memory drops by the sharing factor.  `refs` counts live (unpruned)
-  /// guesses; the store is released when it hits zero.
-  struct SharedStore {
-    SharedStore(int level_in, SamplingRate phi_in, const HierarchicalGrid& grid,
-                const PointStoreConfig& config)
-        : level(level_in), phi(phi_in), store(grid, level_in, config) {}
-    int level;
-    SamplingRate phi;
-    int refs = 0;
-    CellPointStore store;
-  };
+  using CountPool = SketchPool<CellCountMin>;
+  using StorePool = SketchPool<CellPointStore>;
 
   struct GuessState {
     double o = 1.0;
     bool pruned = false;
-    // Indexed by level: counts has L entries (levels 0..L-1, marking only
-    // needs counts above the leaf level... plus level L for part masses),
-    // so both vectors carry L+1 entries (levels 0..L).  samples point into
-    // store_pool_ (shared across guesses; see SharedStore).
-    std::vector<CellCountMin> counts;
-    std::vector<SharedStore*> samples;
-    std::vector<SamplingRate> psi, phi;
+    // Indexed by level 0..L (marking reads counts of levels 0..L-1, the part
+    // masses also level L).  Both point into the pools below, shared with
+    // every guess of the same (level, rate.m); each entry's rate is this
+    // guess's psi (counts) or phi (samples) at that level.
+    std::vector<CountPool::Entry*> counts;
+    std::vector<StorePool::Entry*> samples;
   };
 
   int dim_;
@@ -204,13 +176,15 @@ class StreamingCoresetBuilder {
   HierarchicalGrid grid_;
   std::vector<KWiseHash> hash_counting_, hash_coreset_;
   std::vector<GuessState> guesses_;
-  // Deduplicated point stores, in creation order (guess-major / level-minor
-  // first occurrence — deterministic given options, which save/load and
-  // merge_from rely on).  unique_ptr keeps addresses stable for the
-  // guess-side pointers.
-  std::vector<std::unique_ptr<SharedStore>> store_pool_;
+  // One counting-substream CountMin per distinct (level, psi.m) and one
+  // coreset-substream point store per distinct (level, phi.m); see
+  // sketch_pool.h.  A pooled CountMin takes the seed of the guess that
+  // created it.
+  CountPool count_pool_;
+  StorePool store_pool_;
   std::vector<DistinctCells> distinct_;
   void maybe_prune();
+  void prune_guess(GuessState& guess);
   std::int64_t net_count_ = 0;
   std::int64_t events_ = 0;
 

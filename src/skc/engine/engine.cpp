@@ -177,20 +177,6 @@ void ClusteringEngine::drain(Shard& shard) {
     {
       SKC_TRACE_SPAN("drain");
       std::lock_guard<std::mutex> lock(shard.builder_mu);
-      if (options_.streaming.sampled_countmin) {
-        // Adapt the NitroSketch skip factor to queue pressure: a deep
-        // backlog trades sketch-row coverage for drain throughput, an empty
-        // queue restores exact (skip 1) landing.  Thresholds are in events
-        // relative to the configured drain batch.
-        const std::size_t depth = shard.queue.size();
-        std::uint32_t skip = 1;
-        if (depth >= 8 * options_.drain_batch) {
-          skip = 4;
-        } else if (depth >= 2 * options_.drain_batch) {
-          skip = 2;
-        }
-        shard.builder->set_countmin_sample_skip(skip);
-      }
       shard.builder->update_batch(batch);
     }
     const auto applied = static_cast<std::int64_t>(batch.size());
@@ -515,7 +501,7 @@ std::uint64_t engine_config_fingerprint(int dim, const CoresetParams& params,
                                         const StreamingOptions& streaming) {
   // splitmix64 chain over every knob that shapes the sketch structures or
   // their hash functions; any drift in any of them must change the value.
-  std::uint64_t h = 0x736b636670313400ULL;  // "skcfp14"
+  std::uint64_t h = 0x736b636670313500ULL;  // "skcfp15"
   auto mix = [&h](std::uint64_t v) {
     std::uint64_t state = h ^ v;
     h = splitmix64(state);
@@ -550,7 +536,6 @@ std::uint64_t engine_config_fingerprint(int dim, const CoresetParams& params,
   mix(static_cast<std::uint64_t>(streaming.distinct_budget));
   mix(static_cast<std::uint64_t>(streaming.prune_interval));
   mix_d(streaming.prune_slack);
-  mix(streaming.sampled_countmin ? 1 : 0);
   return h;
 }
 

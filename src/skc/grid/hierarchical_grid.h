@@ -35,6 +35,7 @@ struct CellKey {
 
   bool is_root() const { return level < 0; }
   bool operator==(const CellKey&) const = default;
+  auto operator<=>(const CellKey&) const = default;
 };
 
 struct CellKeyHash {

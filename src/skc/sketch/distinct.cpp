@@ -133,9 +133,11 @@ std::size_t DistinctCells::memory_bytes() const {
 void DistinctCells::save(std::ostream& out) const {
   serial::put<std::int32_t>(out, shift_);
   serial::put<std::uint64_t>(out, kept_.size());
-  for (const auto& [key, count] : kept_) {
-    serial::put_vector(out, key.index);
-    serial::put<std::int64_t>(out, count);
+  serial::EntryOrder<decltype(kept_)> kept;
+  serial::canonical_order(kept_, kept);
+  for (const auto* cell : kept) {
+    serial::put_vector(out, cell->first.index);
+    serial::put<std::int64_t>(out, cell->second);
   }
 }
 

@@ -196,15 +196,20 @@ void CellPointStore::save(std::ostream& out) const {
   serial::put<std::int64_t>(out, events_);
   serial::put<std::int64_t>(out, live_points_);
   serial::put<std::uint64_t>(out, cells_.size());
-  for (const auto& [key, entry] : cells_) {
-    serial::put_vector(out, key.index);
+  serial::EntryOrder<decltype(cells_)> cells;
+  serial::EntryOrder<decltype(Entry::points)> points;
+  serial::canonical_order(cells_, cells);
+  for (const auto* cell : cells) {
+    const Entry& entry = cell->second;
+    serial::put_vector(out, cell->first.index);
     serial::put<std::int64_t>(out, entry.net);
     serial::put<std::int64_t>(out, entry.net_peak);
     serial::put<std::uint8_t>(out, entry.tombstoned ? 1 : 0);
     serial::put<std::uint64_t>(out, entry.points.size());
-    for (const auto& [packed, count] : entry.points) {
-      serial::put_string(out, packed);
-      serial::put<std::int64_t>(out, count);
+    serial::canonical_order(entry.points, points);
+    for (const auto* point : points) {
+      serial::put_string(out, point->first);
+      serial::put<std::int64_t>(out, point->second);
     }
   }
 }

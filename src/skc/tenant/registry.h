@@ -26,11 +26,11 @@
 //              summarizes every event; only the o-grid stops growing).
 //
 //   LRU spill  above `max_resident` live engines, the least-recently-used
-//              tenant is checkpointed to disk (engine save_state — the
-//              CRC-framed STRM2-backed format — plus the replay buffer)
-//              and its engine freed; the next touch restores it
-//              transparently.  HLL, quota, and stats state stay in RAM
-//              (tiny), so admission decisions never need disk.
+//              tenant is checkpointed to disk (engine save_state — a
+//              CRC frame around the STRM3 builder checkpoints — plus the
+//              replay buffer) and its engine freed; the next touch
+//              restores it transparently.  HLL, quota, and stats state
+//              stay in RAM (tiny), so admission decisions never need disk.
 //
 // Locking: reg_mu_ guards only the id -> Tenant map (tenants are created,
 // never destroyed before the registry).  Every per-tenant field sits under

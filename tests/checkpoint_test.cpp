@@ -102,7 +102,7 @@ TEST(Checkpoint, RejectsTruncation) {
 
 // ---------------------------------------------------------------------------
 // Engine-level snapshots: version 2 wraps the whole body (shard builder
-// saves, STRM2 store-pool sections included) in a size + CRC-64 frame, so
+// saves, STRM3 sketch-pool sections included) in a size + CRC-64 frame, so
 // ANY truncation or bit flip must be a clean `false` — never a partial load,
 // never UB (the tier-1 suite runs under sanitizers).
 
@@ -161,7 +161,7 @@ TEST(Checkpoint, EngineStateRejectsEveryTruncationAndBitFlip) {
 
   // Truncation sweep: inside the magic, the version, the size/CRC fields,
   // and at several cuts through the payload (which holds the shard
-  // builders' STRM2 store-pool sections).
+  // builders' STRM3 sketch-pool sections).
   for (const std::size_t keep :
        {std::size_t{0}, std::size_t{5}, std::size_t{11}, std::size_t{20},
         std::size_t{27}, blob.size() / 4, blob.size() / 2, blob.size() - 1}) {

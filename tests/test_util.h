@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <map>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "skc/common/random.h"
@@ -49,6 +51,14 @@ inline std::vector<std::vector<Coord>> canonical_multiset(const PointSet& s) {
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+/// The bytes a structure's save() writes.
+template <typename S>
+std::string serialized(const S& s) {
+  std::ostringstream out(std::ios::binary);
+  s.save(out);
+  return std::move(out).str();
 }
 
 }  // namespace skc::testutil
